@@ -8,6 +8,9 @@ byte-identical files.  Exit codes: 0 success, 2 validation, 3 capacity,
 from __future__ import annotations
 
 import argparse
+import csv
+import fcntl
+import io
 import json
 import os
 import sys
@@ -20,11 +23,11 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig
 from .cumulant_scan import scan_graph
 from .ensembles import ParameterError, sample_stream
-from .graphs import CapacityError, CumulantGraph, GraphParseError
+from .graphs import CapacityError, CumulantGraph, GraphParseError, scaling_exponent
 from .linalg import RngHandle, eigenvalues_hermitian
-from .replica_rg import (DEFAULT_MAX_EDGES, CumulantSpec, FlowInvariantError,
-                         check_bounds_flow, extract_resolvent, initial_potential,
-                         integrate_flow)
+from .replica_rg import (DEFAULT_MAX_EDGES, MAX_FLOW_ORDER, CumulantSpec,
+                         FlowInvariantError, check_bounds_flow, extract_resolvent,
+                         initial_potential, integrate_flow)
 from .ring import RingElement
 from .semicircle import SemicircleParams
 from .spectral import convergence_scan, histogram, scale_spectrum
@@ -35,11 +38,16 @@ EXIT_VALIDATION = 2
 EXIT_CAPACITY = 3
 EXIT_NUMERICAL = 4
 
-MAX_CLI_FLOW_ORDER = 8
-
 
 class OutputLock:
-    """One command invocation owns an output directory at a time."""
+    """One command invocation owns an output directory at a time.
+
+    The owner holds an exclusive ``flock`` on ``.lock`` for the whole run and
+    writes its pid there.  A lock that can be flocked and whose pid names no
+    running process is left over from a killed run: it is taken over in
+    place, under the flock, so two runs cannot both take over one stale lock.
+    A flocked, empty, unparsable or live lock refuses the run.
+    """
 
     def __init__(self, out_dir: Path):
         self.path = out_dir / ".lock"
@@ -47,16 +55,66 @@ class OutputLock:
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        for _ in range(3):
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_RDWR)
+            except FileExistsError:
+                try:
+                    fd = os.open(self.path, os.O_RDWR)
+                except FileNotFoundError:
+                    continue  # the owner removed it meanwhile
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                except BlockingIOError:
+                    os.close(fd)
+                    break  # held by a running command
+                if not self._is_path(fd):
+                    os.close(fd)
+                    continue
+                if not self._stale(fd):
+                    os.close(fd)
+                    break
+                os.ftruncate(fd, 0)
+            else:
+                # a run that finds the new, still empty file only reads it
+                # under the flock and then lets go, so this wait is short
+                fcntl.flock(fd, fcntl.LOCK_EX)
+            os.pwrite(fd, str(os.getpid()).encode(), 0)
+            self.fd = fd
+            return self
+        raise ConfigError(f"output directory is locked by another run: {self.path}")
+
+    def _is_path(self, fd: int) -> bool:
+        """Whether ``fd`` is still the file at ``self.path``."""
         try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ConfigError(f"output directory is locked by another run: {self.path}")
-        return self
+            st = os.stat(self.path)
+        except FileNotFoundError:
+            return False
+        own = os.fstat(fd)
+        return (own.st_dev, own.st_ino) == (st.st_dev, st.st_ino)
+
+    @staticmethod
+    def _stale(fd: int) -> bool:
+        try:
+            pid = int(os.pread(fd, 32, 0))
+        except ValueError:
+            return False
+        if pid <= 0:
+            return False
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        except OSError:  # alive, owned by another user
+            pass
+        return False
 
     def __exit__(self, *exc):
         if self.fd is not None:
+            if self._is_path(self.fd):
+                self.path.unlink()
             os.close(self.fd)
-            self.path.unlink(missing_ok=True)
+            self.fd = None
         return False
 
 
@@ -99,15 +157,16 @@ def cmd_sample(config: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_moments(config: ExperimentConfig, out_dir: Path) -> int:
     """Scaled-moment table with standard errors and the semicircle gap."""
+    warnings: dict[str, list[str]] = {}
     with OutputLock(out_dir):
         rng = RngHandle(config.seed, 0)
         rows = convergence_scan(config.ensemble, config.n_grid, config.moment_orders,
-                                config.samples_per_n, rng)
+                                config.samples_per_n, rng, warnings)
         lines = ["N,k,mean,stderr,gap"]
         for row in rows:
             lines.append(f"{row.n},{row.k},{row.mean!r},{row.stderr!r},{row.gap!r}")
         _write_text(out_dir / "moments.csv", "\n".join(lines) + "\n")
-        _write_metadata(out_dir, config, "moments", {})
+        _write_metadata(out_dir, config, "moments", {"warnings": warnings})
     return EXIT_OK
 
 
@@ -121,18 +180,17 @@ def cmd_cumulant_scan(config: ExperimentConfig, out_dir: Path) -> int:
             raise ConfigError(f"graphs_to_scan: {g.to_text()} has more than 4 edges")
     with OutputLock(out_dir):
         rng = RngHandle(config.seed, 0)
-        lines = ["N,graph,scaled_estimate,stderr,verdict"]
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(["N", "graph", "scaled_estimate", "stderr", "verdict"])
         for g_index, graph in enumerate(graphs):
             result = scan_graph(config.ensemble, graph, config.n_grid,
                                 config.samples_per_n, rng.substream(g_index))
-            from .graphs import scaling_exponent
             expo = float(scaling_exponent(graph))
             for est in result.estimates:
-                scaled = est.estimate * est.n ** expo
-                scaled_err = est.stderr * est.n ** expo
-                lines.append(f"{est.n},{graph.to_text()},{scaled!r},{scaled_err!r},"
-                             f"{result.verdict.value}")
-        _write_text(out_dir / "scan.csv", "\n".join(lines) + "\n")
+                writer.writerow([est.n, graph.to_text(), repr(est.estimate * est.n ** expo),
+                                 repr(est.stderr * est.n ** expo), result.verdict.value])
+        _write_text(out_dir / "scan.csv", text.getvalue())
         _write_metadata(out_dir, config, "cumulant-scan", {})
     return EXIT_OK
 
@@ -143,14 +201,15 @@ def cmd_rg_flow(order: int, sigma: Fraction, pert_graph: str | None = None,
                 stream=None) -> int:
     """Run the exact flow, print the resolvent series, check the bounds."""
     stream = stream or sys.stdout
-    if order < 1 or order > MAX_CLI_FLOW_ORDER:
-        raise CapacityError(f"flow order must be in [1, {MAX_CLI_FLOW_ORDER}]")
+    if order < 1 or order > MAX_FLOW_ORDER:
+        raise CapacityError(f"flow order must be in [1, {MAX_FLOW_ORDER}]")
     spec = CumulantSpec.gaussian_spec(sigma * sigma)
     if pert_graph is not None:
         graph = CumulantGraph.from_text(pert_graph)
         value = RingElement({(0, pert_nhalf): Fraction(pert_coeff if pert_coeff is not None else 1)})
         spec = spec.with_perturbation(graph, value)
-    state = integrate_flow(initial_potential(spec, max_edges or DEFAULT_MAX_EDGES), order)
+    state = integrate_flow(initial_potential(
+        spec, DEFAULT_MAX_EDGES if max_edges is None else max_edges), order)
     coeffs = extract_resolvent(state, order)
     print(", ".join(str(c) for c in coeffs), file=stream)
     report = check_bounds_flow(state, spec)

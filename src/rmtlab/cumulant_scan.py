@@ -53,26 +53,35 @@ def estimate_entry_cumulant(spec: EnsembleSpec, graph: CumulantGraph, n: int,
         raise ValueError(f"matrix size {n} too small for a {v}-vertex graph")
     if samples < 3:
         raise ValueError("need at least three samples for a jackknife error")
-    keys = subset_keys(graph.edges)
-    per_sample = {key: np.empty(samples, dtype=complex) for key in keys.values()}
-    rows = np.arange(tuples) * v
+    e = graph.num_edges
+    # one row per pair multiset: with parallel edges several subsets share one
+    subset_of = {key: subset for subset, key in subset_keys(graph.edges).items()}
+    row_of = {key: r for r, key in enumerate(subset_of)}
+    # subsets padded to e factors with the index of a row of ones
+    factors = np.array([subset + (e,) * (e - len(subset)) for subset in subset_of.values()])
+    offsets = np.arange(tuples) * v
+    sources = np.array([s for s, _ in graph.edges])[:, None] + offsets
+    targets = np.array([t for _, t in graph.edges])[:, None] + offsets
+    entries = np.ones((e + 1, tuples), dtype=complex)
+    per_sample = np.empty((len(row_of), samples), dtype=complex)
     for s_idx, matrix in enumerate(sample_stream(spec, n, samples, rng)):
-        entries = np.stack([matrix.data[rows + s, rows + t] for s, t in graph.edges], axis=1)
-        for subset, key in keys.items():
-            prod = np.prod(entries[:, list(subset)], axis=1)
-            per_sample[key][s_idx] = prod.mean()
+        entries[:e] = matrix.data[sources, targets]
+        gathered = entries[factors]
+        prod = gathered[:, 0]
+        for j in range(1, e):
+            prod = prod * gathered[:, j]
+        per_sample[:, s_idx] = prod.mean(axis=1)
 
-    sums = {key: arr.sum() for key, arr in per_sample.items()}
+    sums = per_sample.sum(axis=1)
+    # leave-one-out means, written over the per-sample means
+    leave_one_out = np.subtract(sums[:, None], per_sample, out=per_sample)
+    leave_one_out /= samples - 1
 
-    def kappa(moment_of):
-        return cumulants_from_moments(moment_of, graph.edges)
+    def row(block) -> int:
+        return row_of[tuple(sorted(block))]
 
-    full = kappa(lambda block: sums[tuple(sorted(block))] / samples)
-    jack = np.empty(samples)
-    for s_idx in range(samples):
-        jack[s_idx] = kappa(
-            lambda block: (sums[tuple(sorted(block))] - per_sample[tuple(sorted(block))][s_idx])
-            / (samples - 1)).real
+    full = cumulants_from_moments(lambda block: sums[row(block)] / samples, graph.edges)
+    jack = cumulants_from_moments(lambda block: leave_one_out[row(block)], graph.edges).real
     stderr = math.sqrt((samples - 1) / samples * np.sum((jack - jack.mean()) ** 2))
     return CumulantEstimate(n, float(full.real), stderr)
 

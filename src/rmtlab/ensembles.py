@@ -8,6 +8,7 @@ diagonal variance sigma^2 by default (configurable).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -195,16 +196,26 @@ def _draw_entries(rng: RngHandle, dist: str, size: int) -> np.ndarray:
     raise ParameterError(f"unknown entry_dist {dist!r}")
 
 
+@functools.lru_cache(maxsize=8)
+def _strict_upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    iu = np.triu_indices(n, k=1)
+    for idx in iu:
+        idx.flags.writeable = False
+    return iu
+
+
 def _wigner_matrix(spec: EnsembleSpec, n: int, rng: RngHandle) -> np.ndarray:
-    """Upper-triangle draw: off-diagonal x-then-y arrays, then the diagonal."""
+    """Upper-triangle draw: off-diagonal x-then-y arrays, then the diagonal.
+
+    GUE draws use Gaussian entries whatever ``spec.entry_dist`` says."""
+    dist = "gaussian" if spec.kind == "gue" else spec.entry_dist
     m = n * (n - 1) // 2
     scale = spec.sigma / math.sqrt(2.0)
-    x = _draw_entries(rng, spec.entry_dist, m)
-    y = _draw_entries(rng, spec.entry_dist, m)
-    diag = _draw_entries(rng, spec.entry_dist, n) * math.sqrt(spec.diag_variance)
+    x = _draw_entries(rng, dist, m)
+    y = _draw_entries(rng, dist, m)
+    diag = _draw_entries(rng, dist, n) * math.sqrt(spec.diag_variance)
     upper = np.zeros((n, n), dtype=complex)
-    iu = np.triu_indices(n, k=1)
-    upper[iu] = (x + 1j * y) * scale
+    upper[_strict_upper_indices(n)] = (x + 1j * y) * scale
     upper[np.diag_indices(n)] = diag
     return upper
 
@@ -214,8 +225,7 @@ def sample(spec: EnsembleSpec, n: int, rng: RngHandle) -> HermitianMatrix:
     if n < 1:
         raise ParameterError("matrix size must be positive")
     if spec.kind in ("gue", "wigner"):
-        use = spec if spec.kind == "wigner" else _as_gaussian(spec)
-        upper = _wigner_matrix(use, n, rng)
+        upper = _wigner_matrix(spec, n, rng)
         return HermitianMatrix.from_upper(upper, {"kind": spec.kind})
     if spec.kind in ("common_factor", "damped_common_factor"):
         if spec.kind == "common_factor":
@@ -246,11 +256,6 @@ def sample_stream(spec: EnsembleSpec, n: int, count: int, rng: RngHandle) -> Ite
         return
     for s in range(count):
         yield sample(spec, n, rng.substream(s))
-
-
-def _as_gaussian(spec: EnsembleSpec) -> EnsembleSpec:
-    return EnsembleSpec("wigner", sigma=spec.sigma, entry_dist="gaussian",
-                        diagonal_variance=spec.diagonal_variance)
 
 
 class QuarticChain:

@@ -8,6 +8,7 @@ large-N extrapolations can be checked with zero tolerance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +48,11 @@ def set_partitions(k: int) -> list[SetPartition]:
         raise CapacityError(f"partition enumeration limited to {MAX_PARTITION_GROUND} elements")
     if k < 1:
         raise ValueError("ground set must be non-empty")
+    return list(_enumerate_partitions(k))
+
+
+@functools.cache
+def _enumerate_partitions(k: int) -> tuple[SetPartition, ...]:
     out: list[SetPartition] = []
 
     def grow(rgs: list[int]):
@@ -64,7 +70,7 @@ def set_partitions(k: int) -> list[SetPartition]:
             rgs.pop()
 
     grow([])
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -85,9 +85,12 @@ class MomentRow:
 
 
 def convergence_scan(spec: EnsembleSpec, n_grid: Sequence[int], k_list: Sequence[int],
-                     samples_per_n: int, rng: RngHandle) -> list[MomentRow]:
+                     samples_per_n: int, rng: RngHandle,
+                     warnings: dict[str, list[str]] | None = None) -> list[MomentRow]:
     """Per (N, k): sample-averaged scaled moment, standard error, and the
-    absolute gap to the semicircle moment at the ensemble's sigma."""
+    absolute gap to the semicircle moment at the ensemble's sigma.
+
+    Sampler warnings are appended to ``warnings[str(N)]`` when a dict is given."""
     if list(n_grid) != sorted(n_grid):
         raise ValueError("N grid must be ascending")
     if samples_per_n < 1:
@@ -101,6 +104,9 @@ def convergence_scan(spec: EnsembleSpec, n_grid: Sequence[int], k_list: Sequence
             samp = scale_spectrum(eigenvalues_hermitian(matrix), n)
             for k in k_list:
                 per_k[k].append(esd_moment(samp, k))
+            if warnings is not None:
+                for w in matrix.meta.get("warnings", []):
+                    warnings.setdefault(str(n), []).append(w)
         for k in k_list:
             vals = np.array(per_k[k])
             mean = float(vals.mean())

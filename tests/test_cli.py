@@ -1,11 +1,15 @@
+import csv
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from rmtlab.cli import main
+from rmtlab.cli import OutputLock, main
+from rmtlab.config import ConfigError
 
 GUE_DOC = {"schema_version": 1, "ensemble": {"kind": "gue", "sigma": 1.0},
            "n_grid": [8], "samples_per_n": 2, "seed": 1}
@@ -100,6 +104,40 @@ def test_cumulant_scan_csv(tmp_path):
     assert all("v=2;e=0->1,1->0" in line for line in lines[1:])
 
 
+def test_cumulant_scan_csv_quotes_graph_text(tmp_path):
+    doc = dict(GUE_DOC, n_grid=[8, 12, 16], samples_per_n=20,
+               graphs_to_scan=["v=4;e=0->1,1->0,2->3,3->2"])
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["cumulant-scan", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "scan.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["N", "graph", "scaled_estimate", "stderr", "verdict"]
+    assert len(rows) == 4
+    assert all(len(row) == 5 for row in rows)
+    assert [row[0] for row in rows[1:]] == ["8", "12", "16"]
+    assert all(row[1] == "v=4;e=0->1,1->0,2->3,3->2" for row in rows[1:])
+
+
+def test_moments_metadata_lists_sampler_warnings(tmp_path):
+    doc = dict(GUE_DOC, n_grid=[4, 8], samples_per_n=2, moment_orders=[2],
+               ensemble={"kind": "quartic_invariant", "quartic_g": 0.1,
+                         "metropolis": {"steps": 1, "step_size": 30.0, "burn_in": 0}})
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["moments", "--config", str(cfg), "--out", str(out)]) == 0
+    warnings = json.loads((out / "metadata.json").read_text())["warnings"]
+    assert sorted(warnings) == ["4", "8"]
+    assert all(len(w) == 2 and "acceptance" in w[0] for w in warnings.values())
+
+
+def test_moments_metadata_warnings_empty_without_sampler_trouble(tmp_path):
+    cfg = write_config(tmp_path, dict(GUE_DOC, moment_orders=[2]))
+    out = tmp_path / "out"
+    assert main(["moments", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "metadata.json").read_text())["warnings"] == {}
+
+
 def test_scan_rejects_big_graph(tmp_path):
     doc = dict(GUE_DOC, graphs_to_scan=["v=2;e=0->1,1->0,0->1,1->0,0->1"])
     cfg = write_config(tmp_path, doc)
@@ -125,6 +163,14 @@ def test_rg_flow_writes_state(tmp_path):
     doc = json.loads((out / "flow_state.json").read_text())
     assert doc["order"] == 3
     assert (out / "resolvent.txt").read_text().splitlines() == ["1", "0", "1"]
+
+
+def test_rg_flow_max_edges_zero_exits_3(tmp_path):
+    out = tmp_path / "out"
+    result = run_cli(["rg-flow", "--order", "7", "--max-edges", "0", "--out", str(out)])
+    assert result.returncode == 3
+    assert "max_edges=0" in result.stderr
+    assert not (out / "flow_state.json").exists()
 
 
 def test_rg_flow_rational_sigma():
@@ -193,3 +239,95 @@ def test_output_lock(tmp_path):
     result = run_cli(["sample", "--config", str(cfg), "--out", str(out)])
     assert result.returncode == 2
     assert "lock" in result.stderr
+
+
+def test_output_lock_of_exited_process_is_taken_over(tmp_path):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    cfg = write_config(tmp_path, GUE_DOC)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / ".lock").write_text(str(child.pid))
+    result = run_cli(["sample", "--config", str(cfg), "--out", str(out)])
+    assert result.returncode == 0, result.stderr
+    assert (out / "spectra_N8.csv").exists()
+    assert not (out / ".lock").exists()
+
+
+def test_output_lock_of_live_process_refuses(tmp_path):
+    cfg = write_config(tmp_path, GUE_DOC)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / ".lock").write_text(str(os.getpid()))
+    result = run_cli(["sample", "--config", str(cfg), "--out", str(out)])
+    assert result.returncode == 2
+    assert "lock" in result.stderr
+    assert (out / ".lock").read_text() == str(os.getpid())
+
+
+def exited_pid() -> int:
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
+def test_output_lock_stale_lock_is_taken_over_once(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    lock = out / ".lock"
+    dead = str(exited_pid())
+    lock.write_text(dead)
+    first = OutputLock(out).__enter__()
+    assert lock.read_text() == str(os.getpid())
+    # a second run that read the dead pid before the takeover sees it still
+    with open(lock, "r+") as fh:
+        fh.write(dead)
+        fh.truncate()
+    with pytest.raises(ConfigError, match="locked"):
+        OutputLock(out).__enter__()
+    assert lock.read_text() == dead
+    first.__exit__(None, None, None)
+    assert not lock.exists()
+
+
+def test_output_lock_exit_leaves_another_runs_lock(tmp_path):
+    out = tmp_path / "out"
+    first = OutputLock(out).__enter__()
+    (out / ".lock").unlink()
+    second = OutputLock(out).__enter__()
+    first.__exit__(None, None, None)
+    assert (out / ".lock").read_text() == str(os.getpid())
+    second.__exit__(None, None, None)
+    assert not (out / ".lock").exists()
+
+
+RACE_CHILD = """
+import sys, time
+from pathlib import Path
+from rmtlab.cli import OutputLock
+from rmtlab.config import ConfigError
+out, start, log = Path(sys.argv[1]), float(sys.argv[2]), Path(sys.argv[3])
+time.sleep(max(0.0, start - time.time()))
+try:
+    with OutputLock(out):
+        held_from = time.time()
+        time.sleep(0.3)
+        log.write_text(f"{held_from} {time.time()}")
+except ConfigError:
+    pass
+"""
+
+
+def test_output_lock_runs_racing_over_stale_lock_never_overlap(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / ".lock").write_text(str(exited_pid()))
+    start = time.time() + 1.0
+    logs = [tmp_path / f"held{i}" for i in range(4)]
+    children = [subprocess.Popen([sys.executable, "-c", RACE_CHILD, str(out), str(start),
+                                  str(log)]) for log in logs]
+    assert all(child.wait(timeout=60) == 0 for child in children)
+    held = sorted(tuple(map(float, log.read_text().split())) for log in logs if log.exists())
+    assert held
+    assert all(a[1] <= b[0] for a, b in zip(held, held[1:]))
+    assert not (out / ".lock").exists()

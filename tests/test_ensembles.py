@@ -125,6 +125,18 @@ def test_common_factor_scales_whole_matrix():
     assert np.array_equal(m.data, w.data)
 
 
+@pytest.mark.parametrize("sigma", [1.0, 0.7])
+def test_gue_draw_equals_gaussian_wigner_draw(sigma):
+    wigner = sample(EnsembleSpec("wigner", sigma=sigma, entry_dist="gaussian"), 9,
+                    RngHandle(31, 0))
+    gue = sample(EnsembleSpec("gue", sigma=sigma), 9, RngHandle(31, 0))
+    assert np.array_equal(gue.data, wigner.data)
+    # GUE entries are Gaussian whatever entry_dist says
+    gue_uniform = sample(EnsembleSpec("gue", sigma=sigma, entry_dist="uniform"), 9,
+                         RngHandle(31, 0))
+    assert np.array_equal(gue_uniform.data, wigner.data)
+
+
 def test_damped_factor_value():
     spec = EnsembleSpec("damped_common_factor", damping_alpha=1.0)
     m = sample(spec, 16, RngHandle(21, 0))

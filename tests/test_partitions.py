@@ -57,6 +57,15 @@ def test_set_partitions_base_case_and_order():
     assert len(parts3) == 5
 
 
+def test_set_partitions_result_is_a_fresh_list():
+    first = set_partitions(4)
+    first.clear()
+    again = set_partitions(4)
+    assert len(again) == BELL[4]
+    assert again is not set_partitions(4)
+    assert again == set_partitions(4)
+
+
 def test_set_partition_validation():
     with pytest.raises(ValueError):
         SetPartition(3, ((0, 1),))

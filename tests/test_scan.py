@@ -1,9 +1,13 @@
+import math
+
+import numpy as np
 import pytest
 
-from rmtlab.cumulant_scan import estimate_entry_cumulant, scan_graph
-from rmtlab.ensembles import EnsembleSpec
+from rmtlab.cumulant_scan import estimate_entry_cumulant, scan_graph, subset_keys
+from rmtlab.ensembles import EnsembleSpec, sample_stream
 from rmtlab.graphs import BoundVerdict, CumulantGraph
 from rmtlab.linalg import RngHandle
+from rmtlab.partitions import cumulants_from_moments
 
 TWO_TWO_CYCLES = CumulantGraph(4, ((0, 1), (1, 0), (2, 3), (3, 2)))
 TWO_CYCLE = CumulantGraph(2, ((0, 1), (1, 0)))
@@ -44,3 +48,40 @@ def test_estimator_guards():
         estimate_entry_cumulant(EnsembleSpec("gue"), TWO_TWO_CYCLES, 3, 100, RngHandle(7, 0))
     with pytest.raises(ValueError):
         estimate_entry_cumulant(EnsembleSpec("gue"), TWO_CYCLE, 8, 2, RngHandle(7, 0))
+
+
+def delete_one_reference(spec, graph, n, samples, rng):
+    """The estimator written as a plain per-sample loop: (estimate, stderr)."""
+    v = graph.num_vertices
+    rows = np.arange(n // v) * v
+    keys = set(subset_keys(graph.edges).values())
+    per_sample = {key: [] for key in keys}
+    for matrix in sample_stream(spec, n, samples, rng):
+        for key in keys:
+            prod = np.ones(len(rows), dtype=complex)
+            for s, t in key:
+                prod = prod * matrix.data[rows + s, rows + t]
+            per_sample[key].append(prod.mean())
+
+    def kappa(drop):
+        def moment(block):
+            vals = [x for i, x in enumerate(per_sample[tuple(sorted(block))]) if i != drop]
+            return sum(vals) / len(vals)
+        return cumulants_from_moments(moment, graph.edges).real
+
+    jack = [kappa(s) for s in range(samples)]
+    mean = sum(jack) / samples
+    stderr = math.sqrt((samples - 1) / samples * sum((j - mean) ** 2 for j in jack))
+    return kappa(None), stderr
+
+
+@pytest.mark.parametrize("spec", [EnsembleSpec("gue"), EnsembleSpec("common_factor"),
+                                  EnsembleSpec("damped_common_factor", damping_alpha=1.0)],
+                         ids=lambda spec: spec.kind)
+def test_jackknife_matches_delete_one_loop(spec):
+    est = estimate_entry_cumulant(spec, TWO_TWO_CYCLES, 16, 50, RngHandle(8, 0))
+    want_estimate, want_stderr = delete_one_reference(spec, TWO_TWO_CYCLES, 16, 50,
+                                                      RngHandle(8, 0))
+    assert est.stderr > 0
+    assert est.stderr == pytest.approx(want_stderr, rel=1e-12)
+    assert est.estimate == pytest.approx(want_estimate, rel=1e-12, abs=1e-15)
