@@ -132,7 +132,7 @@ def scaling_exponent(g: CumulantGraph) -> Fraction:
 # canonical forms and automorphisms
 # ---------------------------------------------------------------------------
 
-_canon_cache: dict[tuple[int, tuple], tuple[int, tuple]] = {}
+_canonical_memo: dict[tuple[int, tuple], CumulantGraph] = {}
 
 
 def _component_subgraph(g: CumulantGraph, verts: list[int]) -> tuple[int, tuple]:
@@ -152,33 +152,46 @@ def _canonical_edges(num_vertices: int, edges: tuple) -> tuple:
     return best
 
 
-def _canonical_component(num_vertices: int, edges: tuple) -> tuple[int, tuple]:
+def canonical_graph_of(num_vertices: int, edges: tuple) -> CumulantGraph:
+    """Canonical representative of the graph with these vertices and edges.
+
+    ``edges`` must be sorted, as ``CumulantGraph.edges`` is.  One memo keyed
+    by ``(num_vertices, edges)`` serves whole graphs and their connected
+    components alike; a hit returns the stored graph and builds nothing.
+    """
     key = (num_vertices, edges)
-    hit = _canon_cache.get(key)
-    if hit is None:
-        hit = (num_vertices, _canonical_edges(num_vertices, edges))
-        _canon_cache[key] = hit
+    hit = _canonical_memo.get(key)
+    if hit is not None:
+        return hit
+    if len(edges) > MAX_CANONICAL_EDGES:
+        raise CapacityError(f"canonical form limited to {MAX_CANONICAL_EDGES} edges")
+    g = CumulantGraph(num_vertices, edges)
+    components = connected_components(g)
+    if len(components) == 1:
+        hit = CumulantGraph(num_vertices, _canonical_edges(num_vertices, edges))
+    else:
+        # a connected component with e edges has at most e+1 vertices, which
+        # keeps the permutation search small
+        parts = sorted((canonical_graph_of(*_component_subgraph(g, verts))
+                        for verts in components),
+                       key=lambda c: (c.num_vertices, c.edges))
+        offset = 0
+        merged = []
+        for c in parts:
+            merged.extend((s + offset, t + offset) for s, t in c.edges)
+            offset += c.num_vertices
+        hit = CumulantGraph(offset, tuple(merged))
+    _canonical_memo[key] = hit
     return hit
 
 
 def canonical_graph(g: CumulantGraph) -> CumulantGraph:
     """Canonical representative of the isomorphism class of ``g``.
 
-    Components are canonicalized independently (a connected component with
-    e edges has at most e+1 vertices, keeping the permutation search small)
-    and then concatenated in sorted order.
+    Components are canonicalized independently and then concatenated in
+    sorted order.
     """
-    if g.num_edges > MAX_CANONICAL_EDGES:
-        raise CapacityError(f"canonical form limited to {MAX_CANONICAL_EDGES} edges")
-    comps = [_canonical_component(*_component_subgraph(g, verts))
-             for verts in connected_components(g)]
-    comps.sort()
-    offset = 0
-    edges = []
-    for nv, ce in comps:
-        edges.extend((s + offset, t + offset) for s, t in ce)
-        offset += nv
-    return CumulantGraph(offset, tuple(edges))
+    return canonical_graph_of(g.num_vertices, g.edges)
 
 
 def canonical_form(g: CumulantGraph) -> str:
@@ -199,14 +212,11 @@ def aut_order(g: CumulantGraph) -> int:
     """Order of Aut(G): vertex symmetries times parallel-edge permutations."""
     if g.num_edges > MAX_CANONICAL_EDGES:
         raise CapacityError(f"automorphism count limited to {MAX_CANONICAL_EDGES} edges")
-    comps = [_canonical_component(*_component_subgraph(g, verts))
-             for verts in connected_components(g)]
-    counts: dict[tuple[int, tuple], int] = {}
-    for comp in comps:
-        counts[comp] = counts.get(comp, 0) + 1
+    counts = Counter(canonical_graph_of(*_component_subgraph(g, verts))
+                     for verts in connected_components(g))
     order = 1
-    for (nv, ce), mult in counts.items():
-        order *= factorial(mult) * _vertex_automorphisms(nv, ce) ** mult
+    for comp, mult in counts.items():
+        order *= factorial(mult) * _vertex_automorphisms(comp.num_vertices, comp.edges) ** mult
     for parallel_mult in Counter(g.edges).values():
         order *= factorial(parallel_mult)
     return order

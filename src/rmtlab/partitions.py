@@ -9,10 +9,9 @@ large-N extrapolations can be checked with zero tolerance.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 from typing import Callable, Sequence
 
 from .graphs import CapacityError, CumulantGraph, graph_from_monomial
@@ -20,7 +19,7 @@ from .graphs import CapacityError, CumulantGraph, graph_from_monomial
 MAX_PARTITION_GROUND = 10
 MAX_MOMENT_ENTRIES = 8
 MAX_CUMULANT_ENTRIES = 6
-MAX_TRACE_TUPLES = 10**7
+MAX_TRACE_ORDER = 7
 
 
 @dataclass(frozen=True)
@@ -79,6 +78,11 @@ class CumulantFunction:
 
     ``evaluator`` maps (graph, vertex -> matrix index assignment, N) to an
     exact value; ``description`` is a human-readable tag.
+
+    ``trace_moment_expectation`` needs the value to be invariant under
+    relabelling the matrix indices: it may depend on the graph and on N,
+    but not on which indices the assignment names.  Every ensemble here
+    has that symmetry.
     """
 
     evaluator: Callable[[CumulantGraph, tuple, int], object]
@@ -138,13 +142,28 @@ def cumulants_from_moments(m: Callable[[Sequence[tuple]], object], pairs: Sequen
 
 
 def trace_moment_expectation(N: int, k: int, c: CumulantFunction):
-    """Exact (1/N^(k/2+1)) <Tr M^k> by brute force over all index tuples."""
-    if N**k > MAX_TRACE_TUPLES:
-        raise CapacityError("index sum too large for brute-force evaluation")
+    """Exact (1/N^(k/2+1)) <Tr M^k>, summed over index patterns.
+
+    The N^k index tuples of Tr M^k fall into classes by which of the k
+    positions carry equal indices, one class per set partition pi of the
+    positions.  A class holds (N)_|pi| = N (N-1) ... (N-|pi|+1) tuples, and
+    because ``c`` is invariant under relabelling the indices (see
+    ``CumulantFunction``) every tuple in it has the moment of one
+    representative.  So the cost is at most Bell(k)^2 block products,
+    whatever N is.
+    """
+    if k > MAX_TRACE_ORDER:
+        raise CapacityError(f"trace moments limited to order {MAX_TRACE_ORDER}")
     total = Fraction(0)
-    for tup in itertools.product(range(N), repeat=k):
-        pairs = [(tup[i], tup[(i + 1) % k]) for i in range(k)]
-        total += moments_from_cumulants(c, pairs, N)
+    for part in set_partitions(k):
+        if part.num_blocks > N:
+            continue
+        index = [0] * k
+        for label, block in enumerate(part.blocks):
+            for pos in block:
+                index[pos] = label
+        pairs = [(index[i], index[(i + 1) % k]) for i in range(k)]
+        total += perm(N, part.num_blocks) * moments_from_cumulants(c, pairs, N)
     if k % 2 == 0:
         return total / Fraction(N) ** (k // 2 + 1)
     if total == 0:

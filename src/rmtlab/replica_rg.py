@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .graphs import CapacityError, CumulantGraph, aut_order, canonical_graph
+from .graphs import CapacityError, CumulantGraph, aut_order, canonical_graph, canonical_graph_of
 from .partitions import set_partitions
 from .ring import RingElement
 
@@ -39,18 +39,6 @@ DISTINCT_INDEX = "distinct_index"
 
 class FlowInvariantError(ArithmeticError):
     """A grading invariant failed; signals a rewrite bug, not bad input."""
-
-
-_canon_memo: dict[tuple[int, tuple], CumulantGraph] = {}
-
-
-def _canon(nv: int, edges: tuple) -> CumulantGraph:
-    key = (nv, edges)
-    hit = _canon_memo.get(key)
-    if hit is None:
-        hit = canonical_graph(CumulantGraph(nv, edges))
-        _canon_memo[key] = hit
-    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +157,7 @@ def _vertex_quotient(g: CumulantGraph, blocks) -> CumulantGraph:
         for v in block:
             block_of[v] = b_idx
     edges = tuple((block_of[s], block_of[t]) for s, t in g.edges)
-    return _canon(len(blocks), tuple(sorted(edges)))
+    return canonical_graph_of(len(blocks), tuple(sorted(edges)))
 
 
 def _block_moebius(blocks) -> int:
@@ -184,15 +172,19 @@ def _convert_basis(state: FlowState, to_basis: str) -> FlowState:
     if state.basis == to_basis:
         return state
     signed = to_basis == FREE_SUM  # distinct -> free carries Moebius signs
-    table: dict[CumulantGraph, list[RingElement]] = {}
+    # graph -> per t-order {(a, b): exact sum}; every quotient touched keeps
+    # its (possibly zero) series, as the table always has
+    acc: dict[CumulantGraph, list[dict]] = {}
     for g, series in state.table.items():
         for part in set_partitions(g.num_vertices):
             gq = _vertex_quotient(g, part.blocks)
             weight = _block_moebius(part.blocks) if signed else 1
-            dst = table.setdefault(gq, _zero_series(state.order_t))
+            dst = acc.setdefault(gq, [{} for _ in range(state.order_t + 1)])
             for k, coeff in enumerate(series):
-                if coeff:
-                    dst[k] = dst[k] + coeff.scale(weight)
+                sums = dst[k]
+                for key, c in coeff.terms:
+                    sums[key] = sums.get(key, 0) + c * weight
+    table = {g: [RingElement(sums) for sums in orders] for g, orders in acc.items()}
     return FlowState(state.order_t, to_basis, table, list(state.vacuum),
                      state.max_edges, list(state.truncation_events))
 
@@ -255,74 +247,68 @@ def _contract(nv: int, edges: list[tuple[int, int]], e1: int, e2: int):
     free = 0 if u in used else 1
     relabel = {v: i for i, v in enumerate(used)}
     final = tuple(sorted((relabel[s], relabel[t]) for s, t in mapped))
-    return _canon(len(used), final), n_factor, free
+    return canonical_graph_of(len(used), final), n_factor, free
 
 
-def _accumulate(bucket: dict, vacuum: list, k: int, graph, coeff: RingElement,
-                n_factor: bool, free_vertices: int, max_edges: int, trunc: list):
-    if n_factor:
-        coeff = coeff * RingElement.n()
-    if free_vertices:
-        coeff = coeff.shift_N(2 * free_vertices)
-    if graph is None:
-        vacuum[k] = vacuum[k] + coeff
-        return
-    if graph.num_edges > max_edges:
-        trunc.append((k + 1, graph.num_edges))
-        return
-    series = bucket.setdefault(graph, {})
-    series[k] = series.get(k, RingElement.zero()) + coeff
+def _deposit(sums: dict, vacuum: dict, k: int, contractions: dict, terms: tuple,
+             max_edges: int, trunc: list):
+    """Add ``terms`` once per contraction into the flat per-graph sums.
+
+    ``contractions`` maps (graph or None, n_factor, free_vertices) to its
+    multiplicity.  The replica loop raises the n power a by one and each
+    free vertex the half-power b of N by two.
+    """
+    for (graph, n_factor, free_vertices), mult in contractions.items():
+        if graph is None:
+            dst = vacuum
+        elif graph.num_edges > max_edges:
+            trunc.extend([(k + 1, graph.num_edges)] * mult)
+            continue
+        else:
+            dst = sums.setdefault(graph, {})
+        da, db = int(n_factor), 2 * free_vertices
+        for (a, b), c in terms:
+            key = (a + da, b + db)
+            dst[key] = dst.get(key, 0) + c * mult
 
 
 def _derivative_order(state_table: dict, k: int, max_edges: int, trunc: list):
     """t^k coefficient of loop(V) + tree(V, V) given V's coefficients."""
-    bucket: dict[CumulantGraph, dict[int, RingElement]] = {}
-    vacuum = [RingElement.zero()] * (k + 1)
-
-    def coeff_at(g: CumulantGraph, order: int) -> RingElement:
-        series = state_table.get(g)
-        if series is None or order >= len(series):
-            return RingElement.zero()
-        return series[order]
+    sums: dict[CumulantGraph, dict[tuple[int, int], Fraction]] = {}
+    vacuum: dict[tuple[int, int], Fraction] = {}
+    # per t-order, the graphs with a non-zero coefficient there, in table order
+    nonzero = [[(g, series[j]) for g, series in state_table.items()
+                if j < len(series) and series[j]] for j in range(k + 1)]
 
     # loop term
-    for g, series in state_table.items():
-        if k >= len(series) or not series[k]:
-            continue
-        w = series[k]
+    for g, w in nonzero[k]:
         edges = list(g.edges)
+        contractions: dict = {}
         for e1 in range(len(edges)):
             for e2 in range(len(edges)):
-                new_g, n_fac, free = _contract(g.num_vertices, edges, e1, e2)
-                _accumulate(bucket, vacuum, k, new_g, w, n_fac, free, max_edges, trunc)
+                key = _contract(g.num_vertices, edges, e1, e2)
+                contractions[key] = contractions.get(key, 0) + 1
+        _deposit(sums, vacuum, k, contractions, w.terms, max_edges, trunc)
 
     # tree term: ordered pairs of graphs with t-orders summing to k
-    graphs = list(state_table.keys())
     for j in range(k + 1):
-        for ga in graphs:
-            wa = coeff_at(ga, j)
-            if not wa:
-                continue
-            for gb in graphs:
-                wb = coeff_at(gb, k - j)
-                if not wb:
-                    continue
-                nva = ga.num_vertices
+        for ga, wa in nonzero[j]:
+            nva = ga.num_vertices
+            ea = len(ga.edges)
+            for gb, wb in nonzero[k - j]:
                 union_edges = list(ga.edges) + [(s + nva, t + nva) for s, t in gb.edges]
                 if len(union_edges) - 1 > max_edges:
                     trunc.append((k + 1, len(union_edges) - 1))
                     continue
-                coeff = wa * wb
-                ea = len(ga.edges)
+                contractions = {}
                 for e1 in range(ea):
                     for e2 in range(ea, len(union_edges)):
-                        new_g, n_fac, free = _contract(nva + gb.num_vertices,
-                                                       union_edges, e1, e2)
-                        _accumulate(bucket, vacuum, k, new_g, coeff, n_fac, free,
-                                    max_edges, trunc)
+                        key = _contract(nva + gb.num_vertices, union_edges, e1, e2)
+                        contractions[key] = contractions.get(key, 0) + 1
+                _deposit(sums, vacuum, k, contractions, (wa * wb).terms, max_edges, trunc)
 
-    out = {g: orders.get(k, RingElement.zero()) for g, orders in bucket.items()}
-    return out, vacuum[k]
+    out = {g: RingElement(terms) for g, terms in sums.items()}
+    return out, RingElement(vacuum)
 
 
 def rg_derivative(state: FlowState) -> FlowState:
@@ -513,7 +499,7 @@ def _wick_pattern(edges, insertion_of, m, num_vertices, outs, ins):
         return None, n_loops, free_vertices
     relabel = {v: i for i, v in enumerate(sorted(used))}
     final = tuple(sorted((relabel[s], relabel[t]) for s, t in composite))
-    return _canon(len(used), final), n_loops, free_vertices
+    return canonical_graph_of(len(used), final), n_loops, free_vertices
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,20 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 
+def _sorted_nonzero(acc: dict) -> tuple:
+    """Canonical term tuple of a dict of exact ``Fraction`` sums per key."""
+    return tuple(sorted(item for item in acc.items() if item[1]))
+
+
 class RingElement:
     """Immutable element of Q[n, N^(1/2), N^(-1/2)] in canonical form."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], Fraction] | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        """Validating constructor for outside input: coerces, merges, drops zeros, sorts."""
+        is_mapping = type(terms) is dict or isinstance(terms, Mapping)
+        items = terms.items() if is_mapping else terms
         acc: dict[tuple[int, int], Fraction] = {}
         for (a, b), coeff in items:
             if a < 0:
@@ -33,8 +40,16 @@ class RingElement:
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def _canonical(cls, terms: tuple) -> "RingElement":
+        """Wrap a term tuple already in canonical form: keys sorted and
+        distinct, every coefficient a non-zero ``Fraction``."""
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
     def zero(cls) -> "RingElement":
-        return cls()
+        return cls._canonical(())
 
     @classmethod
     def one(cls) -> "RingElement":
@@ -56,19 +71,25 @@ class RingElement:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "RingElement") -> "RingElement":
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         merged = dict(self._terms)
         for key, coeff in other._terms:
-            merged[key] = merged.get(key, Fraction(0)) + coeff
-        return RingElement(merged)
+            merged[key] = merged[key] + coeff if key in merged else coeff
+        return RingElement._canonical(_sorted_nonzero(merged))
 
     def __sub__(self, other: "RingElement") -> "RingElement":
+        if not other._terms:
+            return self
         merged = dict(self._terms)
         for key, coeff in other._terms:
-            merged[key] = merged.get(key, Fraction(0)) - coeff
-        return RingElement(merged)
+            merged[key] = merged[key] - coeff if key in merged else -coeff
+        return RingElement._canonical(_sorted_nonzero(merged))
 
     def __neg__(self) -> "RingElement":
-        return RingElement({key: -coeff for key, coeff in self._terms})
+        return RingElement._canonical(tuple((key, -coeff) for key, coeff in self._terms))
 
     def __mul__(self, other):
         if isinstance(other, RingElement):
@@ -76,15 +97,19 @@ class RingElement:
             for (a1, b1), c1 in self._terms:
                 for (a2, b2), c2 in other._terms:
                     key = (a1 + a2, b1 + b2)
-                    acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-            return RingElement(acc)
+                    acc[key] = acc[key] + c1 * c2 if key in acc else c1 * c2
+            return RingElement._canonical(_sorted_nonzero(acc))
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, value) -> "RingElement":
         value = Fraction(value)
-        return RingElement({key: coeff * value for key, coeff in self._terms})
+        if value == 1:
+            return self
+        if not value:
+            return RingElement._canonical(())
+        return RingElement._canonical(tuple((key, coeff * value) for key, coeff in self._terms))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -103,7 +128,7 @@ class RingElement:
 
     def n_grade(self, a: int) -> "RingElement":
         """Part with replica power exactly ``a``, kept at that power."""
-        return RingElement({key: c for key, c in self._terms if key[0] == a})
+        return RingElement._canonical(tuple(item for item in self._terms if item[0][0] == a))
 
     def max_n_power(self) -> int | None:
         return max((a for (a, _), _ in self._terms), default=None)
@@ -129,7 +154,7 @@ class RingElement:
 
     def shift_N(self, b: int) -> "RingElement":
         """Multiply by N**(b/2)."""
-        return RingElement({(a, bb + b): c for (a, bb), c in self._terms})
+        return RingElement._canonical(tuple(((a, bb + b), c) for (a, bb), c in self._terms))
 
     # -- serialization ----------------------------------------------------
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmtlab.graphs import (BoundVerdict, CapacityError, CumulantGraph, aut_order,
-                           canonical_form, canonical_graph, classify_bound,
+                           canonical_form, canonical_graph, canonical_graph_of, classify_bound,
                            connected_components, enumerate_graphs, graph_from_monomial,
                            is_eulerian, scaling_exponent)
 
@@ -148,6 +148,24 @@ def test_canonical_form_relabeling_invariant(seed, pyrandom):
     relabeled = CumulantGraph(g.num_vertices,
                               tuple((perm[s], perm[t]) for s, t in g.edges))
     assert canonical_form(g) == canonical_form(relabeled)
+
+
+def test_canonical_memo_serves_graphs_and_components(monkeypatch):
+    # a double edge beside a directed 3-cycle: canonicalising the union stores
+    # each component under the key it has as a graph of its own
+    union = CumulantGraph(5, ((0, 1), (0, 1), (2, 3), (3, 4), (4, 2)))
+    first = canonical_graph(union)
+    builds = []
+    original = CumulantGraph.__post_init__
+    monkeypatch.setattr(CumulantGraph, "__post_init__",
+                        lambda self: builds.append(self) or original(self))
+    assert canonical_graph_of(5, union.edges) is first
+    assert canonical_graph(union) is first
+    double_edge = canonical_graph_of(2, ((0, 1), (0, 1)))
+    cycle = canonical_graph_of(3, ((0, 1), (1, 2), (2, 0)))
+    assert builds == []
+    assert (double_edge.num_vertices, cycle.num_vertices) == (2, 3)
+    assert first.edges == double_edge.edges + tuple((s + 2, t + 2) for s, t in cycle.edges)
 
 
 def test_canonical_capacity():

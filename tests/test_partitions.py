@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rmtlab.graphs import CapacityError
+from rmtlab.graphs import CapacityError, is_eulerian
 from rmtlab.partitions import (CumulantFunction, ExtrapolationResult, SetPartition, catalan,
                                cumulants_from_moments, extrapolate_limit,
                                gaussian_cumulant_function, moments_from_cumulants,
@@ -41,6 +41,28 @@ def wick_pairing_moment(pairs, sigma_sq=Fraction(1)):
                 break
         total += prod
     return total
+
+
+def brute_force_trace_moment(N, k, c):
+    """(1/N^(k/2+1)) <Tr M^k> summed over all N^k index tuples."""
+    total = Fraction(0)
+    for tup in itertools.product(range(N), repeat=k):
+        pairs = [(tup[i], tup[(i + 1) % k]) for i in range(k)]
+        total += moments_from_cumulants(c, pairs, N)
+    if k % 2 == 0:
+        return total / Fraction(N) ** (k // 2 + 1)
+    if total == 0:
+        return Fraction(0)
+    return float(total) / float(N) ** (k / 2 + 1)
+
+
+def harer_zagier_gue(N, k):
+    """<Tr M^(2k)> for GUE with E|M_ij|^2 = 1 (Harer & Zagier, Invent. Math. 1986)."""
+    c = [N, N * N]
+    for j in range(2, k + 1):
+        c.append(((4 * j - 2) * N * c[j - 1]
+                  + (j - 1) * (2 * j - 1) * (2 * j - 3) * c[j - 2]) // (j + 1))
+    return c[k]
 
 
 def test_set_partition_counts_match_bell():
@@ -158,6 +180,41 @@ def test_trace_moment_odd_vanishes():
 def test_trace_moment_capacity():
     with pytest.raises(CapacityError):
         trace_moment_expectation(100, 8, gaussian_cumulant_function())
+
+
+def test_trace_moment_capacity_bounds_the_order_not_the_tuples():
+    # 7^8 tuples once passed a bound on N^k and then ran for days
+    with pytest.raises(CapacityError):
+        trace_moment_expectation(7, 8, gaussian_cumulant_function())
+    n = 1000
+    assert trace_moment_expectation(n, 6, gaussian_cumulant_function()) == \
+        5 + Fraction(10, n * n)
+
+
+def relabelling_invariant_cumulants(graph, assignment, n):
+    # non-Gaussian: depends on the graph and on N only, never on the indices
+    e, v = graph.num_edges, graph.num_vertices
+    if e == 1:
+        return Fraction(0)
+    return Fraction(e + v * v, (3 if is_eulerian(graph) else 5) * n ** (e // 2))
+
+
+@pytest.mark.parametrize("c", [
+    gaussian_cumulant_function(Fraction(3, 2)),
+    CumulantFunction(relabelling_invariant_cumulants, "relabelling invariant"),
+], ids=["gaussian", "non_gaussian"])
+def test_trace_moment_pattern_sum_matches_tuple_sum(c):
+    for n in range(1, 5):
+        for k in range(1, 7):
+            assert trace_moment_expectation(n, k, c) == brute_force_trace_moment(n, k, c), (n, k)
+
+
+def test_trace_moment_matches_harer_zagier():
+    c = gaussian_cumulant_function()
+    for n in (1, 2, 3, 7, 1000):
+        for k in (1, 2, 3):
+            want = Fraction(harer_zagier_gue(n, k), n ** (k + 1))
+            assert trace_moment_expectation(n, 2 * k, c) == want, (n, 2 * k)
 
 
 def test_trace_moments_match_monte_carlo():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmtlab.ring import RingElement
 
@@ -48,3 +50,57 @@ def test_shift_and_serialization_roundtrip():
     e = RingElement({(2, -3): Fraction(5, 7), (0, 0): 1})
     assert e.shift_N(3) == RingElement({(2, 0): Fraction(5, 7), (0, 3): 1})
     assert RingElement.from_triples(e.to_triples()) == e
+
+
+# --- property test against a plain dict-of-Fraction reference -------------------
+
+def ref_clean(d):
+    return {key: c for key, c in d.items() if c}
+
+
+def ref_add(x, y, sign=1):
+    out = dict(x)
+    for key, c in y.items():
+        out[key] = out.get(key, Fraction(0)) + sign * c
+    return ref_clean(out)
+
+
+def ref_mul(x, y):
+    out = {}
+    for (a1, b1), c1 in x.items():
+        for (a2, b2), c2 in y.items():
+            key = (a1 + a2, b1 + b2)
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def assert_canonical(e, reference):
+    keys = [key for key, _ in e.terms]
+    assert keys == sorted(set(keys))
+    assert all(type(c) is Fraction and c for _, c in e.terms)
+    assert e == RingElement(dict(e.terms))
+    assert dict(e.terms) == reference
+
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+term_dicts = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(-4, 4)),
+                             small_fractions, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_dicts, term_dicts, st.sampled_from([0, 1, -1, Fraction(2, 3), 7]),
+       st.integers(-3, 3))
+def test_ring_matches_dict_reference(x, y, factor, shift):
+    ex, ey = RingElement(x), RingElement(y)
+    x, y = ref_clean(x), ref_clean(y)
+    assert_canonical(ex, x)
+    assert_canonical(ex + ey, ref_add(x, y))
+    assert_canonical(ex - ey, ref_add(x, y, -1))
+    assert_canonical(-ex, {key: -c for key, c in x.items()})
+    assert_canonical(ex * ey, ref_mul(x, y))
+    assert_canonical(ex.scale(factor), ref_clean({key: c * factor for key, c in x.items()}))
+    assert_canonical(ex * factor, ref_clean({key: c * factor for key, c in x.items()}))
+    assert_canonical(ex.shift_N(shift), {(a, b + shift): c for (a, b), c in x.items()})
+    assert_canonical(ex.n_grade(1), {key: c for key, c in x.items() if key[0] == 1})
+    with pytest.raises(ValueError):
+        RingElement({(-1, 0): 1} | x)
