@@ -172,8 +172,8 @@ def _convert_basis(state: FlowState, to_basis: str) -> FlowState:
     if state.basis == to_basis:
         return state
     signed = to_basis == FREE_SUM  # distinct -> free carries Moebius signs
-    # graph -> per t-order {(a, b): exact sum}; every quotient touched keeps
-    # its (possibly zero) series, as the table always has
+    # graph -> per t-order {(a, b): exact sum}; a quotient whose sums cancel
+    # keeps its all-zero series
     acc: dict[CumulantGraph, list[dict]] = {}
     for g, series in state.table.items():
         for part in set_partitions(g.num_vertices):
