@@ -13,6 +13,7 @@ from .ring import RingElement
 from .replica_rg import (CumulantSpec, FlowState, check_bounds_flow, extract_resolvent,
                          initial_potential, integrate_flow, rg_derivative, wick_oracle)
 from .semicircle import SemicircleParams, density, moment, resolvent, solve_schwinger_dyson, stieltjes_invert
-from .spectral import SpectrumSample, convergence_scan, esd_moment, histogram, ks_distance_to_semicircle, scale_spectrum
+from .spectral import (SpectrumSample, convergence_scan, esd_moment, histogram,
+                       ks_distance_to_semicircle, scale_spectrum, spectra)
 
 __version__ = "0.1.0"

@@ -18,13 +18,13 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .cumulant_scan import scan_graph
-from .ensembles import EnsembleSpec, MetropolisParams, sample_stream
+from .ensembles import EnsembleSpec, MetropolisParams
 from .graphs import BoundVerdict, CumulantGraph, enumerate_graphs, is_eulerian
 from .linalg import HermitianMatrix, RngHandle, eigenvalues_hermitian, standard_complex_normals
 from .partitions import catalan, extrapolate_limit, gaussian_cumulant_function, set_partitions, trace_moment_expectation
 from .replica_rg import CumulantSpec, initial_potential, integrate_flow, wick_oracle
 from .ring import RingElement
-from .spectral import esd_moment, ks_distance_to_semicircle, pooled_samples, scale_spectrum
+from .spectral import SpectrumSample, ks_distance_to_semicircle, pooled_samples, spectra
 
 TWO_TWO_CYCLES = CumulantGraph(4, ((0, 1), (1, 0), (2, 3), (3, 2)))
 
@@ -98,12 +98,11 @@ def check_finite_n_moments() -> CheckResult:
 
 
 def _moment_stats(spec: EnsembleSpec, n: int, count: int, seed: int):
-    samples = pooled_samples(spec, n, count, RngHandle(seed, 0))
-    m2 = np.array([esd_moment(s, 2) for s in samples])
-    m3 = np.array([esd_moment(s, 3) for s in samples])
-    m4 = np.array([esd_moment(s, 4) for s in samples])
-    ks = ks_distance_to_semicircle(samples, spec.sigma)
-    return m2.mean(), m3.mean(), m4.mean(), ks
+    eigs = spectra(spec, n, count, RngHandle(seed, 0))
+    m2, m3, m4 = (np.mean(eigs ** k, axis=1).mean() for k in (2, 3, 4))
+    ks = ks_distance_to_semicircle(SpectrumSample(eigs.size, np.sort(eigs, axis=None)),
+                                   spec.sigma)
+    return m2, m3, m4, ks
 
 
 def check_universality() -> CheckResult:
@@ -139,8 +138,7 @@ def check_violation_detection() -> CheckResult:
     details = []
 
     for idx, n in enumerate((32, 64, 128)):
-        m4 = np.array([esd_moment(scale_spectrum(eigenvalues_hermitian(m), n), 4)
-                       for m in sample_stream(spec, n, 6400, RngHandle(50 + idx, 0))])
+        m4 = np.mean(spectra(spec, n, 6400, RngHandle(50 + idx, 0)) ** 4, axis=1)
         mean = float(m4.mean())
         details.append(f"m4(N={n})={mean:.3f}")
         if abs(mean - 2.5) > 0.1:
@@ -179,8 +177,7 @@ def check_damped_positive_direction() -> CheckResult:
     if result.verdict is not BoundVerdict.CONSISTENT_VANISHING:
         failures.append(f"verdict {result.verdict.value} != consistent_vanishing")
 
-    m4 = np.array([esd_moment(scale_spectrum(eigenvalues_hermitian(m), 512), 4)
-                   for m in sample_stream(spec, 512, 500, RngHandle(61, 0))])
+    m4 = np.mean(spectra(spec, 512, 500, RngHandle(61, 0)) ** 4, axis=1)
     mean = float(m4.mean())
     details.append(f"m4(N=512)={mean:.4f}")
     if abs(mean - 2.0) > 0.1:
@@ -273,13 +270,9 @@ def check_eigensolver() -> CheckResult:
 def check_quartic_deviation() -> CheckResult:
     spec = EnsembleSpec("quartic_invariant", quartic_g=0.1,
                         metropolis=MetropolisParams(steps=3, step_size=1.0, burn_in=120))
-    ratios = []
-    warn = []
-    for matrix in sample_stream(spec, 64, 24, RngHandle(90, 0)):
-        s = scale_spectrum(eigenvalues_hermitian(matrix), 64)
-        ratios.append(esd_moment(s, 4) / esd_moment(s, 2) ** 2)
-        warn.extend(matrix.meta.get("warnings", []))
-    arr = np.array(ratios)
+    warn: dict[str, list[str]] = {}
+    eigs = spectra(spec, 64, 24, RngHandle(90, 0), warn)
+    arr = np.mean(eigs ** 4, axis=1) / np.mean(eigs ** 2, axis=1) ** 2
     mean = float(arr.mean())
     stderr = float(arr.std(ddof=1) / math.sqrt(len(arr)))
     deviation = abs(mean - 2.0)

@@ -22,15 +22,15 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig
 from .cumulant_scan import scan_graph
-from .ensembles import ParameterError, sample_stream
+from .ensembles import ParameterError
 from .graphs import CapacityError, CumulantGraph, GraphParseError, scaling_exponent
-from .linalg import RngHandle, eigenvalues_hermitian
+from .linalg import RngHandle
 from .replica_rg import (DEFAULT_MAX_EDGES, MAX_FLOW_ORDER, CumulantSpec,
                          FlowInvariantError, check_bounds_flow, extract_resolvent,
                          initial_potential, integrate_flow)
 from .ring import RingElement
 from .semicircle import SemicircleParams
-from .spectral import convergence_scan, histogram, scale_spectrum
+from .spectral import SpectrumSample, convergence_scan, histogram, spectra
 from .svgplot import render_histogram_svg
 
 EXIT_OK = 0
@@ -119,9 +119,17 @@ class OutputLock:
 
 
 def _write_text(path: Path, text: str):
+    """Replace ``path`` with ``text`` atomically: write a temp file in the
+    same directory, then rename it over ``path``."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_metadata(out_dir: Path, config: ExperimentConfig, command: str, extra: dict):
@@ -141,15 +149,12 @@ def cmd_sample(config: ExperimentConfig, out_dir: Path) -> int:
     warnings: dict[str, list[str]] = {}
     with OutputLock(out_dir):
         for n_index, n in enumerate(config.n_grid):
-            rng = RngHandle(config.seed, 0).substream(n_index)
+            eigs = spectra(config.ensemble, n, config.samples_per_n,
+                           RngHandle(config.seed, 0).substream(n_index), warnings)
             lines = ["sample_index,eig_index,lambda_scaled"]
-            for s_idx, matrix in enumerate(sample_stream(config.ensemble, n,
-                                                         config.samples_per_n, rng)):
-                spectrum = scale_spectrum(eigenvalues_hermitian(matrix), n)
-                for e_idx, lam in enumerate(spectrum.eigs_scaled):
-                    lines.append(f"{s_idx},{e_idx},{float(lam)!r}")
-                for w in matrix.meta.get("warnings", []):
-                    warnings.setdefault(str(n), []).append(w)
+            for s_idx, row in enumerate(eigs):
+                for e_idx, lam in enumerate(row.tolist()):
+                    lines.append(f"{s_idx},{e_idx},{lam!r}")
             _write_text(out_dir / f"spectra_N{n}.csv", "\n".join(lines) + "\n")
         _write_metadata(out_dir, config, "sample", {"warnings": warnings})
     return EXIT_OK
@@ -242,7 +247,6 @@ def cmd_plot(spectra_files: list[Path], sigma: float, bins: int,
                 eigs.append(float(line.rsplit(",", 1)[1]))
     if not eigs:
         raise ConfigError("no eigenvalues found in the given spectra files")
-    from .spectral import SpectrumSample
     pooled = SpectrumSample(len(eigs), np.sort(np.array(eigs)))
     bars = histogram(pooled, bins, value_range)
     svg = render_histogram_svg(bars, sigma)

@@ -14,6 +14,7 @@ from typing import Mapping
 
 from .ensembles import EnsembleSpec, ParameterError
 from .graphs import CumulantGraph, GraphParseError
+from .spectral import MAX_MOMENT_ORDER
 
 SCHEMA_VERSION = 1
 
@@ -49,6 +50,8 @@ class ExperimentConfig:
             raise ConfigError("samples_per_n: must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed: must be non-negative")
+        if not all(0 <= k <= MAX_MOMENT_ORDER for k in self.moment_orders):
+            raise ConfigError(f"moment_orders: each order must lie in 0..{MAX_MOMENT_ORDER}")
         if self.histogram_bins < 1:
             raise ConfigError("histogram_bins: must be at least 1")
         a, b = self.histogram_range

@@ -102,9 +102,10 @@ def is_eulerian(g: CumulantGraph) -> bool:
     return all(i == o for i, o in g.degree_balance())
 
 
-def connected_components(g: CumulantGraph) -> list[list[int]]:
-    """Components of the underlying undirected graph, by vertex index."""
-    parent = list(range(g.num_vertices))
+def _union_roots(count: int, pairs) -> list[int]:
+    """Union-find over items 0..count-1: the root of each item once every
+    pair has been joined."""
+    parent = list(range(count))
 
     def find(x):
         while parent[x] != x:
@@ -112,13 +113,18 @@ def connected_components(g: CumulantGraph) -> list[list[int]]:
             x = parent[x]
         return x
 
-    for s, t in g.edges:
-        rs, rt = find(s), find(t)
-        if rs != rt:
-            parent[rs] = rt
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return [find(x) for x in range(count)]
+
+
+def connected_components(g: CumulantGraph) -> list[list[int]]:
+    """Components of the underlying undirected graph, by vertex index."""
     groups: dict[int, list[int]] = {}
-    for v in range(g.num_vertices):
-        groups.setdefault(find(v), []).append(v)
+    for v, root in enumerate(_union_roots(g.num_vertices, g.edges)):
+        groups.setdefault(root, []).append(v)
     return sorted(groups.values())
 
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .graphs import CapacityError, CumulantGraph, aut_order, canonical_graph, canonical_graph_of
+from .graphs import (CapacityError, CumulantGraph, _union_roots, aut_order, canonical_graph,
+                     canonical_graph_of)
 from .partitions import set_partitions
 from .ring import RingElement
 
@@ -146,6 +147,14 @@ def _zero_series(k: int) -> list[RingElement]:
     return [RingElement.zero() for _ in range(k + 1)]
 
 
+def _series(table: dict, g: CumulantGraph, k: int) -> list[RingElement]:
+    """``table[g]``, entered as a zero series through t^k only on a miss."""
+    series = table.get(g)
+    if series is None:
+        series = table[g] = _zero_series(k)
+    return series
+
+
 # ---------------------------------------------------------------------------
 # basis conversion (distinct-index sums <-> free sums)
 # ---------------------------------------------------------------------------
@@ -179,7 +188,9 @@ def _convert_basis(state: FlowState, to_basis: str) -> FlowState:
         for part in set_partitions(g.num_vertices):
             gq = _vertex_quotient(g, part.blocks)
             weight = _block_moebius(part.blocks) if signed else 1
-            dst = acc.setdefault(gq, [{} for _ in range(state.order_t + 1)])
+            dst = acc.get(gq)
+            if dst is None:
+                dst = acc[gq] = [{} for _ in range(state.order_t + 1)]
             for k, coeff in enumerate(series):
                 sums = dst[k]
                 for key, c in coeff.terms:
@@ -211,7 +222,7 @@ def initial_potential(spec: CumulantSpec, max_edges: int = DEFAULT_MAX_EDGES) ->
         if g.num_edges > max_edges:
             raise CapacityError(f"initial graph exceeds max_edges={max_edges}")
         weighted = value.scale(Fraction(1, aut_order(g))).shift_N(-g.num_edges)
-        series = table.setdefault(g, _zero_series(0))
+        series = _series(table, g, 0)
         series[0] = series[0] + weighted
     distinct = FlowState(0, DISTINCT_INDEX, table, _zero_series(0), max_edges)
     return to_free_basis(distinct)
@@ -323,7 +334,7 @@ def rg_derivative(state: FlowState) -> FlowState:
         vacuum[k] = vac
         for g, coeff in contrib.items():
             if coeff:
-                table.setdefault(g, _zero_series(state.order_t))[k] = coeff
+                _series(table, g, state.order_t)[k] = coeff
     return FlowState(state.order_t, FREE_SUM, table, vacuum, state.max_edges, trunc)
 
 
@@ -344,7 +355,7 @@ def integrate_flow(state0: FlowState, order: int) -> FlowState:
         inv = Fraction(1, k + 1)
         for g, coeff in contrib.items():
             if coeff:
-                series = table.setdefault(g, _zero_series(order))
+                series = _series(table, g, order)
                 series[k + 1] = series[k + 1] + coeff.scale(inv)
         vacuum[k + 1] = vacuum[k + 1] + vac.scale(inv)
     return FlowState(order, FREE_SUM, table, vacuum, state0.max_edges, trunc)
@@ -433,7 +444,7 @@ def wick_oracle(spec: CumulantSpec, order: int,
                         elif graph.num_edges > max_edges:
                             trunc.append((k, graph.num_edges))
                         else:
-                            series = table.setdefault(graph, _zero_series(order))
+                            series = _series(table, graph, order)
                             series[k] = series[k] + coeff
     return FlowState(order, FREE_SUM, table, vacuum, max_edges, trunc)
 
@@ -442,33 +453,12 @@ def _wick_pattern(edges, insertion_of, m, num_vertices, outs, ins):
     """Evaluate one contraction pattern; None if it is disconnected."""
     nxt = dict(zip(outs, ins))
     if m > 1:
-        parent = list(range(m))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e1, e2 in nxt.items():
-            a, b = find(insertion_of[e1]), find(insertion_of[e2])
-            if a != b:
-                parent[a] = b
-        if len({find(i) for i in range(m)}) != 1:
+        slot_roots = _union_roots(m, ((insertion_of[e1], insertion_of[e2])
+                                      for e1, e2 in nxt.items()))
+        if len(set(slot_roots)) != 1:
             return None
-
-    vparent = list(range(num_vertices))
-
-    def vfind(x):
-        while vparent[x] != x:
-            vparent[x] = vparent[vparent[x]]
-            x = vparent[x]
-        return x
-
-    for e1, e2 in nxt.items():
-        a, b = vfind(edges[e1][0]), vfind(edges[e2][1])
-        if a != b:
-            vparent[a] = b
+    vroot = _union_roots(num_vertices, ((edges[e1][0], edges[e2][1])
+                                        for e1, e2 in nxt.items()))
 
     in_matched = set(ins)
     composite = []
@@ -481,7 +471,7 @@ def _wick_pattern(edges, insertion_of, m, num_vertices, outs, ins):
         while cur in nxt:
             cur = nxt[cur]
             visited.add(cur)
-        composite.append((vfind(edges[cur][0]), vfind(edges[start][1])))
+        composite.append((vroot[edges[cur][0]], vroot[edges[start][1]]))
     n_loops = 0
     for e in range(len(edges)):
         if e in visited:
@@ -492,7 +482,7 @@ def _wick_pattern(edges, insertion_of, m, num_vertices, outs, ins):
             visited.add(cur)
             cur = nxt[cur]
 
-    classes = {vfind(v) for v in range(num_vertices)}
+    classes = set(vroot)
     used = {v for edge in composite for v in edge}
     free_vertices = len(classes - used)
     if not composite:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,6 +84,23 @@ class MomentRow:
     gap: float
 
 
+def spectra(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
+            warnings: dict[str, list[str]] | None = None) -> np.ndarray:
+    """Row s: ascending eigenvalues of M_s / sqrt(n), for the s-th matrix of
+    ``sample_stream(spec, n, count, rng)``; one matrix is held at a time.
+
+    Sampler warnings are appended to ``warnings[str(n)]`` when a dict is given."""
+    out = np.empty((count, n))
+    for s, matrix in enumerate(sample_stream(spec, n, count, rng)):
+        out[s] = eigenvalues_hermitian(matrix)
+        found = matrix.meta.get("warnings")
+        if warnings is not None and found:
+            warnings.setdefault(str(n), []).extend(found)
+    out /= math.sqrt(n)
+    out.sort(axis=1)
+    return out
+
+
 def convergence_scan(spec: EnsembleSpec, n_grid: Sequence[int], k_list: Sequence[int],
                      samples_per_n: int, rng: RngHandle,
                      warnings: dict[str, list[str]] | None = None) -> list[MomentRow]:
@@ -95,20 +112,14 @@ def convergence_scan(spec: EnsembleSpec, n_grid: Sequence[int], k_list: Sequence
         raise ValueError("N grid must be ascending")
     if samples_per_n < 1:
         raise ValueError("need at least one sample per N")
+    if not all(0 <= k <= MAX_MOMENT_ORDER for k in k_list):
+        raise ValueError(f"moment orders must be in [0, {MAX_MOMENT_ORDER}]")
     params = SemicircleParams(spec.sigma)
     rows: list[MomentRow] = []
     for n_index, n in enumerate(n_grid):
-        per_k: dict[int, list[float]] = {k: [] for k in k_list}
-        stream = sample_stream(spec, n, samples_per_n, rng.substream(n_index))
-        for matrix in stream:
-            samp = scale_spectrum(eigenvalues_hermitian(matrix), n)
-            for k in k_list:
-                per_k[k].append(esd_moment(samp, k))
-            if warnings is not None:
-                for w in matrix.meta.get("warnings", []):
-                    warnings.setdefault(str(n), []).append(w)
+        eigs = spectra(spec, n, samples_per_n, rng.substream(n_index), warnings)
         for k in k_list:
-            vals = np.array(per_k[k])
+            vals = np.mean(eigs ** k, axis=1)
             mean = float(vals.mean())
             stderr = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
             rows.append(MomentRow(n, k, mean, stderr, abs(mean - semicircle_moment(k, params))))
@@ -116,7 +127,5 @@ def convergence_scan(spec: EnsembleSpec, n_grid: Sequence[int], k_list: Sequence
 
 
 def pooled_samples(spec: EnsembleSpec, n: int, count: int, rng: RngHandle) -> list[SpectrumSample]:
-    out = []
-    for idx, matrix in enumerate(sample_stream(spec, n, count, rng)):
-        out.append(scale_spectrum(eigenvalues_hermitian(matrix), n, {"sample": idx}))
-    return out
+    return [SpectrumSample(n, row, {"sample": idx})
+            for idx, row in enumerate(spectra(spec, n, count, rng))]

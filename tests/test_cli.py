@@ -120,22 +120,50 @@ def test_cumulant_scan_csv_quotes_graph_text(tmp_path):
 
 
 def test_moments_metadata_lists_sampler_warnings(tmp_path):
-    doc = dict(GUE_DOC, n_grid=[4, 8], samples_per_n=2, moment_orders=[2],
-               ensemble={"kind": "quartic_invariant", "quartic_g": 0.1,
-                         "metropolis": {"steps": 1, "step_size": 30.0, "burn_in": 0}})
-    cfg = write_config(tmp_path, doc)
-    out = tmp_path / "out"
-    assert main(["moments", "--config", str(cfg), "--out", str(out)]) == 0
-    warnings = json.loads((out / "metadata.json").read_text())["warnings"]
-    assert sorted(warnings) == ["4", "8"]
-    assert all(len(w) == 2 and "acceptance" in w[0] for w in warnings.values())
+    # `rmt sample` lists the same warnings as `rmt moments`
+    for command in ("moments", "sample"):
+        doc = dict(GUE_DOC, n_grid=[4, 8], samples_per_n=2, moment_orders=[2],
+                   ensemble={"kind": "quartic_invariant", "quartic_g": 0.1,
+                             "metropolis": {"steps": 1, "step_size": 30.0, "burn_in": 0}})
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        warnings = json.loads((out / "metadata.json").read_text())["warnings"]
+        assert sorted(warnings) == ["4", "8"]
+        assert all(len(w) == 2 and "acceptance" in w[0] for w in warnings.values())
 
 
 def test_moments_metadata_warnings_empty_without_sampler_trouble(tmp_path):
-    cfg = write_config(tmp_path, dict(GUE_DOC, moment_orders=[2]))
+    for command in ("moments", "sample"):
+        cfg = write_config(tmp_path, dict(GUE_DOC, moment_orders=[2]))
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "metadata.json").read_text())["warnings"] == {}
+
+
+@pytest.mark.parametrize("order", [13, -1])
+def test_moment_order_out_of_range_exits_2_before_writing(tmp_path, order):
+    cfg = write_config(tmp_path, dict(GUE_DOC, moment_orders=[2, order]))
     out = tmp_path / "out"
-    assert main(["moments", "--config", str(cfg), "--out", str(out)]) == 0
-    assert json.loads((out / "metadata.json").read_text())["warnings"] == {}
+    result = run_cli(["moments", "--config", str(cfg), "--out", str(out)])
+    assert result.returncode == 2
+    assert "moment_orders" in result.stderr
+    assert not (out / "moments.csv").exists()
+
+
+def test_failed_write_keeps_existing_output(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, GUE_DOC)
+    out = tmp_path / "out"
+    assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def failing_replace(src, dst):
+        raise OSError("simulated failure")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="simulated"):
+        main(["sample", "--config", str(cfg), "--seed", "2", "--out", str(out)])
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_scan_rejects_big_graph(tmp_path):

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from rmtlab.ensembles import EnsembleSpec
-from rmtlab.linalg import RngHandle
+from rmtlab import spectral
+from rmtlab.ensembles import EnsembleSpec, MetropolisParams, sample_stream
+from rmtlab.linalg import RngHandle, eigenvalues_hermitian
 from rmtlab.semicircle import SemicircleParams, cdf
 from rmtlab.spectral import (SpectrumSample, convergence_scan, esd_moment, histogram,
-                             ks_distance_to_semicircle, pooled_samples, scale_spectrum)
+                             ks_distance_to_semicircle, pooled_samples, scale_spectrum,
+                             spectra)
 
 
 def sample_of(values) -> SpectrumSample:
@@ -37,6 +39,31 @@ def test_scale_identity_matrix():
 def test_scale_shape_error():
     with pytest.raises(ValueError):
         scale_spectrum([1.0, 2.0], 3)
+
+
+# --- the spectral pipeline --------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [
+    EnsembleSpec("gue"),
+    EnsembleSpec("wigner", entry_dist="rademacher"),
+    EnsembleSpec("common_factor"),
+    EnsembleSpec("damped_common_factor", damping_alpha=1.0),
+    EnsembleSpec("quartic_invariant", quartic_g=0.1,
+                 metropolis=MetropolisParams(steps=1, step_size=30.0, burn_in=0)),
+], ids=lambda spec: spec.kind)
+def test_spectra_rows_equal_per_matrix_pipeline(spec):
+    # quartic_invariant: one shared chain per stream, and its warnings are collected
+    n, count = 12, 5
+    warnings: dict[str, list[str]] = {}
+    eigs = spectra(spec, n, count, RngHandle(23, 0), warnings)
+    matrices = list(sample_stream(spec, n, count, RngHandle(23, 0)))
+    assert eigs.shape == (count, n)
+    for row, matrix in zip(eigs, matrices):
+        want = scale_spectrum(eigenvalues_hermitian(matrix), n).eigs_scaled
+        assert row.tobytes() == want.tobytes()
+    found = [w for m in matrices for w in m.meta.get("warnings", [])]
+    assert warnings == ({str(n): found} if found else {})
+    assert (spec.kind == "quartic_invariant") == bool(found)
 
 
 # --- moments --------------------------------------------------------------------
@@ -190,3 +217,13 @@ def test_scan_validates_grid():
         convergence_scan(EnsembleSpec("gue"), (64, 32), (2,), 4, RngHandle(17, 0))
     with pytest.raises(ValueError):
         convergence_scan(EnsembleSpec("gue"), (8,), (2,), 0, RngHandle(17, 0))
+
+
+def test_scan_validates_moment_orders_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the moment orders")
+
+    monkeypatch.setattr(spectral, "spectra", no_sampling)
+    for k_list in ((13,), (2, -1)):
+        with pytest.raises(ValueError, match="moment orders"):
+            convergence_scan(EnsembleSpec("gue"), (8,), k_list, 4, RngHandle(17, 0))
