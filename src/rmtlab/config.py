@@ -42,8 +42,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.n_grid:
             raise ConfigError("n_grid: must not be empty")
-        if list(self.n_grid) != sorted(self.n_grid):
-            raise ConfigError("n_grid: must be ascending")
+        if list(self.n_grid) != sorted(set(self.n_grid)):
+            raise ConfigError("n_grid: must be strictly ascending")
         if any(n < 1 for n in self.n_grid):
             raise ConfigError("n_grid: sizes must be positive")
         if self.samples_per_n < 1:

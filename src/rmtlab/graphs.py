@@ -290,9 +290,9 @@ class BoundClassification:
 
 
 # Trend-detection heuristics; exposed so experiments can tighten or loosen
-# them for their own N grids and sample counts.
-DECREASE_FACTOR = 0.8
-VANISH_FRACTION = 0.1
+# them for their own N grids and sample counts.  VANISH_EXPONENT = 1/2 is
+# the grade that check_bounds_flow demands of Eulerian perturbations.
+VANISH_EXPONENT = 0.5
 GROWTH_FACTOR = 1.5
 NOISE_SIGMAS = 5.0
 
@@ -306,9 +306,9 @@ def classify_bound(
 
     ``scaled_values`` holds (N, cumulant estimate) pairs, ascending in N;
     the values are multiplied by N**exponent here.  For Eulerian graphs the
-    rescaled magnitudes must trend to zero, for non-Eulerian ones they must
-    stay bounded.  When stderrs are given, data indistinguishable from zero
-    counts as vanishing.
+    rescaled magnitudes must decay at least like N**-VANISH_EXPONENT from the
+    first N to the last, for non-Eulerian ones they must stay bounded.  When
+    stderrs are given, data indistinguishable from zero counts as vanishing.
     """
     if len(scaled_values) < 3:
         raise ValueError("need at least three N values")
@@ -319,7 +319,7 @@ def classify_bound(
     scaled = [abs(v) * float(n) ** float(expo) for n, v in scaled_values]
     first, last = scaled[0], scaled[-1]
     if is_eulerian(g):
-        vanishing = last <= DECREASE_FACTOR * first and last <= VANISH_FRACTION * first
+        vanishing = last <= first * (ns[0] / ns[-1]) ** VANISH_EXPONENT
         if not vanishing and stderrs is not None:
             scaled_err = [abs(e) * float(n) ** float(expo)
                           for (n, _), e in zip(scaled_values, stderrs)]

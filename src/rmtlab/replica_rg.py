@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .graphs import (CapacityError, CumulantGraph, _union_roots, aut_order, canonical_graph,
-                     canonical_graph_of)
+from .graphs import (MAX_CANONICAL_EDGES, CapacityError, CumulantGraph, _union_roots, aut_order,
+                     canonical_graph, canonical_graph_of)
 from .partitions import set_partitions
 from .ring import RingElement
 
@@ -89,7 +90,7 @@ class FlowState:
     table: dict[CumulantGraph, list[RingElement]]
     vacuum: list[RingElement]
     max_edges: int = DEFAULT_MAX_EDGES
-    truncation_events: list[tuple[int, int]] = field(default_factory=list)
+    truncation_events: dict[tuple[int, int], int] = field(default_factory=dict)
 
     @property
     def truncated(self) -> bool:
@@ -123,7 +124,7 @@ class FlowState:
             "basis": self.basis,
             "max_edges": self.max_edges,
             "truncated": self.truncated,
-            "truncation_events": [list(ev) for ev in self.truncation_events],
+            "truncation_events": [[*key, n] for key, n in sorted(self.truncation_events.items())],
             "graphs": {g.to_text(): [c.to_triples() for c in series]
                        for g, series in sorted(self.table.items(), key=lambda kv: kv[0].to_text())
                        if any(series)},
@@ -137,7 +138,7 @@ class FlowState:
         return cls(doc["order"], doc["basis"], table,
                    [RingElement.from_triples(t) for t in doc["vacuum"]],
                    doc.get("max_edges", DEFAULT_MAX_EDGES),
-                   [tuple(ev) for ev in doc.get("truncation_events", [])])
+                   {(k, e): n for k, e, n in doc.get("truncation_events", [])})
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=1)
@@ -197,7 +198,7 @@ def _convert_basis(state: FlowState, to_basis: str) -> FlowState:
                     sums[key] = sums.get(key, 0) + c * weight
     table = {g: [RingElement(sums) for sums in orders] for g, orders in acc.items()}
     return FlowState(state.order_t, to_basis, table, list(state.vacuum),
-                     state.max_edges, list(state.truncation_events))
+                     state.max_edges, dict(state.truncation_events))
 
 
 def to_free_basis(state: FlowState) -> FlowState:
@@ -216,6 +217,9 @@ def to_distinct_basis(state: FlowState) -> FlowState:
 def initial_potential(spec: CumulantSpec, max_edges: int = DEFAULT_MAX_EDGES) -> FlowState:
     """Flow state at t = 0: bare cumulants with their 1/(|Aut(G)| N^(e/2))
     symmetry weights attached, converted to the free-sum basis."""
+    if max_edges > MAX_CANONICAL_EDGES:
+        raise CapacityError(f"max_edges={max_edges} exceeds the canonical-form limit of "
+                            f"{MAX_CANONICAL_EDGES} edges")
     table: dict[CumulantGraph, list[RingElement]] = {}
     for graph, value in spec.items():
         g = canonical_graph(graph)
@@ -261,30 +265,24 @@ def _contract(nv: int, edges: list[tuple[int, int]], e1: int, e2: int):
     return canonical_graph_of(len(used), final), n_factor, free
 
 
-def _deposit(sums: dict, vacuum: dict, k: int, contractions: dict, terms: tuple,
-             max_edges: int, trunc: list):
+def _deposit(sums: dict, vacuum: dict, contractions: dict, terms: tuple):
     """Add ``terms`` once per contraction into the flat per-graph sums.
 
     ``contractions`` maps (graph or None, n_factor, free_vertices) to its
     multiplicity.  The replica loop raises the n power a by one and each
-    free vertex the half-power b of N by two.
+    free vertex the half-power b of N by two.  A contraction removes one edge,
+    so no result outgrows the ``max_edges`` its sources were checked against.
     """
     for (graph, n_factor, free_vertices), mult in contractions.items():
-        if graph is None:
-            dst = vacuum
-        elif graph.num_edges > max_edges:
-            trunc.extend([(k + 1, graph.num_edges)] * mult)
-            continue
-        else:
-            dst = sums.setdefault(graph, {})
+        dst = vacuum if graph is None else sums.setdefault(graph, {})
         da, db = int(n_factor), 2 * free_vertices
         for (a, b), c in terms:
             key = (a + da, b + db)
             dst[key] = dst.get(key, 0) + c * mult
 
 
-def _derivative_order(state_table: dict, k: int, max_edges: int, trunc: list):
-    """t^k coefficient of loop(V) + tree(V, V) given V's coefficients."""
+def _derivative_order(state_table: dict, k: int, max_edges: int, trunc: Counter):
+    """t^k coefficient of loop(V) + tree(V, V); oversized tree terms count in trunc."""
     sums: dict[CumulantGraph, dict[tuple[int, int], Fraction]] = {}
     vacuum: dict[tuple[int, int], Fraction] = {}
     # per t-order, the graphs with a non-zero coefficient there, in table order
@@ -299,7 +297,7 @@ def _derivative_order(state_table: dict, k: int, max_edges: int, trunc: list):
             for e2 in range(len(edges)):
                 key = _contract(g.num_vertices, edges, e1, e2)
                 contractions[key] = contractions.get(key, 0) + 1
-        _deposit(sums, vacuum, k, contractions, w.terms, max_edges, trunc)
+        _deposit(sums, vacuum, contractions, w.terms)
 
     # tree term: ordered pairs of graphs with t-orders summing to k
     for j in range(k + 1):
@@ -309,14 +307,14 @@ def _derivative_order(state_table: dict, k: int, max_edges: int, trunc: list):
             for gb, wb in nonzero[k - j]:
                 union_edges = list(ga.edges) + [(s + nva, t + nva) for s, t in gb.edges]
                 if len(union_edges) - 1 > max_edges:
-                    trunc.append((k + 1, len(union_edges) - 1))
+                    trunc[k + 1, len(union_edges) - 1] += 1
                     continue
                 contractions = {}
                 for e1 in range(ea):
                     for e2 in range(ea, len(union_edges)):
                         key = _contract(nva + gb.num_vertices, union_edges, e1, e2)
                         contractions[key] = contractions.get(key, 0) + 1
-                _deposit(sums, vacuum, k, contractions, (wa * wb).terms, max_edges, trunc)
+                _deposit(sums, vacuum, contractions, (wa * wb).terms)
 
     out = {g: RingElement(terms) for g, terms in sums.items()}
     return out, RingElement(vacuum)
@@ -326,7 +324,7 @@ def rg_derivative(state: FlowState) -> FlowState:
     """dV/dt of a free-sum state, order by order up to state.order_t."""
     if state.basis != FREE_SUM:
         raise ValueError("rg_derivative requires the free-sum basis")
-    trunc: list[tuple[int, int]] = []
+    trunc: Counter = Counter()
     table: dict[CumulantGraph, list[RingElement]] = {}
     vacuum = _zero_series(state.order_t)
     for k in range(state.order_t + 1):
@@ -335,7 +333,7 @@ def rg_derivative(state: FlowState) -> FlowState:
         for g, coeff in contrib.items():
             if coeff:
                 _series(table, g, state.order_t)[k] = coeff
-    return FlowState(state.order_t, FREE_SUM, table, vacuum, state.max_edges, trunc)
+    return FlowState(state.order_t, FREE_SUM, table, vacuum, state.max_edges, dict(trunc))
 
 
 def integrate_flow(state0: FlowState, order: int) -> FlowState:
@@ -349,7 +347,7 @@ def integrate_flow(state0: FlowState, order: int) -> FlowState:
     table = {g: series + [RingElement.zero()] * (order - state0.order_t)
              for g, series in state0.table.items()}
     vacuum = list(state0.vacuum) + [RingElement.zero()] * (order - state0.order_t)
-    trunc = list(state0.truncation_events)
+    trunc = Counter(state0.truncation_events)
     for k in range(order):
         contrib, vac = _derivative_order(table, k, state0.max_edges, trunc)
         inv = Fraction(1, k + 1)
@@ -358,7 +356,7 @@ def integrate_flow(state0: FlowState, order: int) -> FlowState:
                 series = _series(table, g, order)
                 series[k + 1] = series[k + 1] + coeff.scale(inv)
         vacuum[k + 1] = vacuum[k + 1] + vac.scale(inv)
-    return FlowState(order, FREE_SUM, table, vacuum, state0.max_edges, trunc)
+    return FlowState(order, FREE_SUM, table, vacuum, state0.max_edges, dict(trunc))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +406,7 @@ def wick_oracle(spec: CumulantSpec, order: int,
     table: dict[CumulantGraph, list[RingElement]] = {
         g: series + [RingElement.zero()] * order for g, series in base.table.items()}
     vacuum = _zero_series(order)
-    trunc: list[tuple[int, int]] = []
+    trunc: Counter = Counter()
 
     for k in range(1, order + 1):
         for m in range(1, k + 2):
@@ -442,11 +440,11 @@ def wick_oracle(spec: CumulantSpec, order: int,
                         if graph is None:
                             vacuum[k] = vacuum[k] + coeff
                         elif graph.num_edges > max_edges:
-                            trunc.append((k, graph.num_edges))
+                            trunc[k, graph.num_edges] += 1
                         else:
                             series = _series(table, graph, order)
                             series[k] = series[k] + coeff
-    return FlowState(order, FREE_SUM, table, vacuum, max_edges, trunc)
+    return FlowState(order, FREE_SUM, table, vacuum, max_edges, dict(trunc))
 
 
 def _wick_pattern(edges, insertion_of, m, num_vertices, outs, ins):

@@ -108,8 +108,8 @@ def convergence_scan(spec: EnsembleSpec, n_grid: Sequence[int], k_list: Sequence
     absolute gap to the semicircle moment at the ensemble's sigma.
 
     Sampler warnings are appended to ``warnings[str(N)]`` when a dict is given."""
-    if list(n_grid) != sorted(n_grid):
-        raise ValueError("N grid must be ascending")
+    if list(n_grid) != sorted(set(n_grid)):
+        raise ValueError("N grid must be strictly ascending")
     if samples_per_n < 1:
         raise ValueError("need at least one sample per N")
     if not all(0 <= k <= MAX_MOMENT_ORDER for k in k_list):

@@ -72,10 +72,12 @@ def test_unknown_field_rejected(tmp_path):
 
 
 def test_empty_n_grid_rejected(tmp_path):
-    cfg = write_config(tmp_path, dict(GUE_DOC, n_grid=[]))
-    result = run_cli(["moments", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert result.returncode == 2
-    assert "n_grid" in result.stderr
+    for n_grid in ([], [8, 8]):  # empty, and a repeated size
+        cfg = write_config(tmp_path, dict(GUE_DOC, n_grid=n_grid))
+        result = run_cli(["moments", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.returncode == 2
+        assert "n_grid" in result.stderr
+        assert not (tmp_path / "o").exists()
 
 
 def test_moments_csv(tmp_path):
@@ -195,10 +197,13 @@ def test_rg_flow_writes_state(tmp_path):
 
 def test_rg_flow_max_edges_zero_exits_3(tmp_path):
     out = tmp_path / "out"
-    result = run_cli(["rg-flow", "--order", "7", "--max-edges", "0", "--out", str(out)])
-    assert result.returncode == 3
-    assert "max_edges=0" in result.stderr
-    assert not (out / "flow_state.json").exists()
+    # 9 is past graphs.MAX_CANONICAL_EDGES and must fail before any flow work
+    for max_edges in (0, 9):
+        result = run_cli(["rg-flow", "--order", "7", "--max-edges", str(max_edges),
+                          "--out", str(out)])
+        assert result.returncode == 3
+        assert f"max_edges={max_edges}" in result.stderr
+        assert not (out / "flow_state.json").exists()
 
 
 def test_rg_flow_rational_sigma():

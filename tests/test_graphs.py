@@ -255,6 +255,9 @@ def test_classify_decaying_eulerian_vanishes():
     g = CumulantGraph(4, ((0, 1), (1, 0), (2, 3), (3, 2)))
     out = classify_bound(g, [(8, 4.0 / 8), (32, 4.0 / 32), (128, 4.0 / 128)])
     assert out.verdict is BoundVerdict.CONSISTENT_VANISHING
+    # damped common factor (alpha = 1) estimates of its exact 4/N cumulant
+    out = classify_bound(g, [(32, 0.111), (64, 0.072), (128, 0.035)])
+    assert out.verdict is BoundVerdict.CONSISTENT_VANISHING
 
 
 def test_classify_zero_vanishes():

@@ -243,7 +243,10 @@ def test_resolvent_flags_positive_grade():
 
 def test_truncation_flag():
     assert not integrate_flow(initial_potential(SIGMA1), 3).truncated
-    assert integrate_flow(initial_potential(SIGMA1), 7).truncated
+    state = integrate_flow(initial_potential(SIGMA1), 7)
+    assert state.truncated
+    # dropped terms are tallied per (t-order, edge count)
+    assert state.truncation_events == {(5, 7): 5, (6, 8): 4, (7, 7): 28, (7, 9): 3}
 
 
 def test_flow_order_capacity():
@@ -286,8 +289,13 @@ def test_empty_perturbation_report_has_no_perturbation_rows():
 # --- serialization --------------------------------------------------------------------
 
 def test_flow_state_json_roundtrip():
-    spec = SIGMA1.with_perturbation(DOUBLE_EDGE, RingElement.one())
-    state = integrate_flow(initial_potential(spec), 2)
-    again = FlowState.from_json(state.to_json())
-    assert again == state
-    assert again.dumps() == state.dumps()
+    for coeff, order, tally in [
+            (Fraction(1), 2, {}),
+            (Fraction(1, 2), 7, {(5, 7): 2368, (6, 8): 4832, (7, 7): 8018, (7, 9): 11776})]:
+        spec = SIGMA1.with_perturbation(DOUBLE_EDGE, RingElement.scalar(coeff))
+        state = integrate_flow(initial_potential(spec), order)
+        assert state.truncation_events == tally
+        again = FlowState.from_json(state.to_json())
+        assert again == state
+        assert again.truncation_events == tally
+        assert again.dumps() == state.dumps()

@@ -216,6 +216,8 @@ def test_scan_validates_grid():
     with pytest.raises(ValueError):
         convergence_scan(EnsembleSpec("gue"), (64, 32), (2,), 4, RngHandle(17, 0))
     with pytest.raises(ValueError):
+        convergence_scan(EnsembleSpec("gue"), (8, 8), (2,), 4, RngHandle(17, 0))
+    with pytest.raises(ValueError):
         convergence_scan(EnsembleSpec("gue"), (8,), (2,), 0, RngHandle(17, 0))
 
 
