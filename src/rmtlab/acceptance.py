@@ -352,12 +352,11 @@ SUITES = {
 }
 
 
-def run_suite(name: str) -> list[CheckResult]:
+def suite_checks(name: str) -> list[str]:
+    """The check names a suite (or a single check's name) runs, in order."""
     if name in CHECKS:
-        names = [name]
-    elif name in SUITES:
-        names = SUITES[name]
-    else:
-        raise ValueError(f"unknown suite {name!r}; choose from "
-                         f"{sorted(SUITES) + sorted(CHECKS)}")
-    return [CHECKS[n]() for n in names]
+        return [name]
+    if name in SUITES:
+        return SUITES[name]
+    raise ValueError(f"unknown suite {name!r}; choose from "
+                     f"{sorted(SUITES) + sorted(CHECKS)}")

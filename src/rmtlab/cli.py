@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .cumulant_scan import scan_graph
 from .ensembles import ParameterError
 from .graphs import CapacityError, CumulantGraph, GraphParseError, scaling_exponent
 from .linalg import RngHandle
-from .replica_rg import (DEFAULT_MAX_EDGES, MAX_FLOW_ORDER, CumulantSpec,
+from .replica_rg import (DEFAULT_MAX_EDGES, MAX_FLOW_ORDER, TADPOLE, CumulantSpec,
                          FlowInvariantError, check_bounds_flow, extract_resolvent,
                          initial_potential, integrate_flow)
 from .ring import RingElement
@@ -201,20 +202,27 @@ def cmd_cumulant_scan(config: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_rg_flow(order: int, sigma: Fraction, pert_graph: str | None = None,
-                pert_coeff: Fraction | None = None, pert_nhalf: int = 0,
+                pert_coeff: Fraction | None = None, pert_nhalf: int | None = None,
                 max_edges: int | None = None, out_dir: Path | None = None,
                 stream=None) -> int:
-    """Run the exact flow, print the resolvent series, check the bounds."""
+    """Run the exact flow, print the resolvent series, check the bounds.
+
+    Only the light cone of the tadpole is flown: the resolvent reads the
+    tadpole alone, and the bounds cover every graph inside its cone.
+    """
     stream = stream or sys.stdout
     if order < 1 or order > MAX_FLOW_ORDER:
         raise CapacityError(f"flow order must be in [1, {MAX_FLOW_ORDER}]")
+    if pert_graph is None and (pert_coeff is not None or pert_nhalf is not None):
+        raise ConfigError("--pert-coeff and --pert-nhalf need --pert-graph")
     spec = CumulantSpec.gaussian_spec(sigma * sigma)
     if pert_graph is not None:
         graph = CumulantGraph.from_text(pert_graph)
-        value = RingElement({(0, pert_nhalf): Fraction(pert_coeff if pert_coeff is not None else 1)})
+        value = RingElement({(0, pert_nhalf or 0):
+                             Fraction(pert_coeff if pert_coeff is not None else 1)})
         spec = spec.with_perturbation(graph, value)
     state = integrate_flow(initial_potential(
-        spec, DEFAULT_MAX_EDGES if max_edges is None else max_edges), order)
+        spec, DEFAULT_MAX_EDGES if max_edges is None else max_edges), order, TADPOLE.num_edges)
     coeffs = extract_resolvent(state, order)
     print(", ".join(str(c) for c in coeffs), file=stream)
     report = check_bounds_flow(state, spec)
@@ -224,7 +232,7 @@ def cmd_rg_flow(order: int, sigma: Fraction, pert_graph: str | None = None,
             _write_text(out_dir / "resolvent.txt",
                         "\n".join(str(c) for c in coeffs) + "\n")
             _write_text(out_dir / "bounds.txt", "\n".join(
-                f"{e.graph} t^{e.t_order} {e.part} grade={e.half_grade} ok={e.ok}"
+                f"{e.graph} t^{e.t_order} {e.part} grade={e.half_grade} exact={e.exact} ok={e.ok}"
                 for e in report.entries) + "\n")
     if not report.all_ok:
         print("scaling-bound violation in the n^0 grade", file=sys.stderr)
@@ -255,11 +263,14 @@ def cmd_plot(spectra_files: list[Path], sigma: float, bins: int,
 
 
 def cmd_verify(suite: str, stream=None) -> int:
-    from .acceptance import run_suite
+    """Run a suite; each check's wall time goes to stderr, its verdict to ``stream``."""
+    from .acceptance import CHECKS, suite_checks
     stream = stream or sys.stdout
-    results = run_suite(suite)
     failed = False
-    for res in results:
+    for name in suite_checks(suite):
+        t0 = time.perf_counter()
+        res = CHECKS[name]()
+        print(f"{name}: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
         print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}", file=stream)
         failed = failed or not res.passed
     return EXIT_NUMERICAL if failed else EXIT_OK
@@ -284,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument("--sigma", type=Fraction, default=Fraction(1))
     flow.add_argument("--pert-graph", default=None, help="graph text form")
     flow.add_argument("--pert-coeff", type=Fraction, default=None)
-    flow.add_argument("--pert-nhalf", type=int, default=0,
-                      help="N grade of the perturbation, in units of N^(1/2)")
+    flow.add_argument("--pert-nhalf", type=int, default=None,
+                      help="N grade of the perturbation, in units of N^(1/2) (default 0)")
     flow.add_argument("--max-edges", type=int, default=None)
     flow.add_argument("--out", default=None)
 

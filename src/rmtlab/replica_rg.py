@@ -20,7 +20,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf
 
 from .graphs import (MAX_CANONICAL_EDGES, CapacityError, CumulantGraph, _union_roots, aut_order,
                      canonical_graph, canonical_graph_of)
@@ -91,10 +91,32 @@ class FlowState:
     vacuum: list[RingElement]
     max_edges: int = DEFAULT_MAX_EDGES
     truncation_events: dict[tuple[int, int], int] = field(default_factory=dict)
+    # None: every graph was flown; E: only the light cone of graphs with at
+    # most E edges at t^order_t, see integrate_flow
+    cone_edges: int | None = None
 
     @property
     def truncated(self) -> bool:
         return any(order <= self.order_t for order, _ in self.truncation_events)
+
+    def _cone_orders(self, edges: int) -> int:
+        """Highest t-order at which a graph with ``edges`` edges lies in the cone."""
+        if self.cone_edges is None:
+            return self.order_t
+        return max(0, min(self.order_t, self.cone_edges + self.order_t - edges))
+
+    def is_exact(self, graph: CumulantGraph, k: int) -> bool:
+        """Whether the t^k coefficient of ``graph`` is certified exact.
+
+        A term dropped at t^j with e_d edges loses at most one edge per
+        later step, so it can reach a graph with e edges at t^k only if
+        e_d - (k - j) <= e.  Outside a light cone nothing is flown past t^0.
+        """
+        edges = graph.num_edges
+        if k > self._cone_orders(edges):
+            return False
+        return all(e_d - (k - j) > edges
+                   for j, e_d in self.truncation_events if j <= k)
 
     def coefficient(self, graph: CumulantGraph, k: int) -> RingElement:
         series = self.table.get(canonical_graph(graph))
@@ -119,26 +141,37 @@ class FlowState:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
+        """A cone state lists each graph's series only through its last
+        in-cone order: the orders past it were never flown."""
+        doc = {
             "order": self.order_t,
             "basis": self.basis,
             "max_edges": self.max_edges,
             "truncated": self.truncated,
             "truncation_events": [[*key, n] for key, n in sorted(self.truncation_events.items())],
-            "graphs": {g.to_text(): [c.to_triples() for c in series]
+            "graphs": {g.to_text(): [c.to_triples()
+                                     for c in series[:self._cone_orders(g.num_edges) + 1]]
                        for g, series in sorted(self.table.items(), key=lambda kv: kv[0].to_text())
                        if any(series)},
             "vacuum": [c.to_triples() for c in self.vacuum],
         }
+        if self.cone_edges is not None:
+            doc["cone_edges"] = self.cone_edges
+        return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "FlowState":
-        table = {CumulantGraph.from_text(label): [RingElement.from_triples(t) for t in series]
-                 for label, series in doc["graphs"].items()}
-        return cls(doc["order"], doc["basis"], table,
+        order = doc["order"]
+        table = {}
+        for label, series in doc["graphs"].items():
+            coeffs = [RingElement.from_triples(t) for t in series]
+            coeffs += [RingElement.zero()] * (order + 1 - len(coeffs))
+            table[CumulantGraph.from_text(label)] = coeffs
+        return cls(order, doc["basis"], table,
                    [RingElement.from_triples(t) for t in doc["vacuum"]],
                    doc.get("max_edges", DEFAULT_MAX_EDGES),
-                   {(k, e): n for k, e, n in doc.get("truncation_events", [])})
+                   {(k, e): n for k, e, n in doc.get("truncation_events", [])},
+                   doc.get("cone_edges"))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=1)
@@ -198,7 +231,7 @@ def _convert_basis(state: FlowState, to_basis: str) -> FlowState:
                     sums[key] = sums.get(key, 0) + c * weight
     table = {g: [RingElement(sums) for sums in orders] for g, orders in acc.items()}
     return FlowState(state.order_t, to_basis, table, list(state.vacuum),
-                     state.max_edges, dict(state.truncation_events))
+                     state.max_edges, dict(state.truncation_events), state.cone_edges)
 
 
 def to_free_basis(state: FlowState) -> FlowState:
@@ -281,13 +314,18 @@ def _deposit(sums: dict, vacuum: dict, contractions: dict, terms: tuple):
             dst[key] = dst.get(key, 0) + c * mult
 
 
-def _derivative_order(state_table: dict, k: int, max_edges: int, trunc: Counter):
-    """t^k coefficient of loop(V) + tree(V, V); oversized tree terms count in trunc."""
+def _derivative_order(state_table: dict, k: int, max_edges: int, trunc: Counter,
+                      bound: float = inf):
+    """t^k coefficient of loop(V) + tree(V, V), over the terms with at most
+    ``bound`` edges; oversized tree terms within ``bound`` count in trunc."""
     sums: dict[CumulantGraph, dict[tuple[int, int], Fraction]] = {}
     vacuum: dict[tuple[int, int], Fraction] = {}
-    # per t-order, the graphs with a non-zero coefficient there, in table order
+    # per t-order, the graphs with a non-zero coefficient there, in table
+    # order; a contraction of e edges leaves e - 1, so larger sources yield
+    # nothing within bound
     nonzero = [[(g, series[j]) for g, series in state_table.items()
-                if j < len(series) and series[j]] for j in range(k + 1)]
+                if j < len(series) and series[j] and g.num_edges <= bound + 1]
+               for j in range(k + 1)]
 
     # loop term
     for g, w in nonzero[k]:
@@ -305,10 +343,13 @@ def _derivative_order(state_table: dict, k: int, max_edges: int, trunc: Counter)
             nva = ga.num_vertices
             ea = len(ga.edges)
             for gb, wb in nonzero[k - j]:
-                union_edges = list(ga.edges) + [(s + nva, t + nva) for s, t in gb.edges]
-                if len(union_edges) - 1 > max_edges:
-                    trunc[k + 1, len(union_edges) - 1] += 1
+                size = ea + gb.num_edges - 1
+                if size > bound:
                     continue
+                if size > max_edges:
+                    trunc[k + 1, size] += 1
+                    continue
+                union_edges = list(ga.edges) + [(s + nva, t + nva) for s, t in gb.edges]
                 contractions = {}
                 for e1 in range(ea):
                     for e2 in range(ea, len(union_edges)):
@@ -321,7 +362,12 @@ def _derivative_order(state_table: dict, k: int, max_edges: int, trunc: Counter)
 
 
 def rg_derivative(state: FlowState) -> FlowState:
-    """dV/dt of a free-sum state, order by order up to state.order_t."""
+    """dV/dt of a free-sum state, order by order up to state.order_t.
+
+    Its t^k coefficient is (k+1) times the flow's t^(k+1) one: a term
+    dropped while building it is tallied at t^k, and the derivative of a
+    light-cone state has a cone one edge narrower.
+    """
     if state.basis != FREE_SUM:
         raise ValueError("rg_derivative requires the free-sum basis")
     trunc: Counter = Counter()
@@ -333,30 +379,45 @@ def rg_derivative(state: FlowState) -> FlowState:
         for g, coeff in contrib.items():
             if coeff:
                 _series(table, g, state.order_t)[k] = coeff
-    return FlowState(state.order_t, FREE_SUM, table, vacuum, state.max_edges, dict(trunc))
+    return FlowState(state.order_t, FREE_SUM, table, vacuum, state.max_edges,
+                     {(j - 1, e): n for (j, e), n in trunc.items()},
+                     None if state.cone_edges is None else state.cone_edges - 1)
 
 
-def integrate_flow(state0: FlowState, order: int) -> FlowState:
-    """Polynomial Picard integration of the flow to t^order; exact."""
+def integrate_flow(state0: FlowState, order: int, cone_edges: int | None = None) -> FlowState:
+    """Polynomial Picard integration of the flow to t^order; exact.
+
+    With ``cone_edges`` E, only the light cone of the graphs with at most E
+    edges at t^order is flown.  One step lowers a graph's edge count by at
+    most one (the loop term removes an edge, the tree term keeps at least
+    the larger source's), so t^(k+1) needs only the terms with at most
+    E + order - (k+1) edges; every coefficient inside the cone equals the
+    full flow's under the same ``max_edges``, and the others stay zero.
+    Drops past that bound are not tallied: they cannot reach the cone.
+    """
     if order > MAX_FLOW_ORDER:
         raise CapacityError(f"flow order limited to {MAX_FLOW_ORDER}")
     if state0.basis != FREE_SUM:
         raise ValueError("integrate_flow requires the free-sum basis")
     if order < state0.order_t:
         raise ValueError("cannot integrate below the state's current order")
+    reach = inf if cone_edges is None else cone_edges + order
+    if state0.cone_edges is not None and state0.order_t > 0 \
+            and reach > state0.cone_edges + state0.order_t:
+        raise ValueError("cannot widen the light cone of a flown state")
     table = {g: series + [RingElement.zero()] * (order - state0.order_t)
              for g, series in state0.table.items()}
     vacuum = list(state0.vacuum) + [RingElement.zero()] * (order - state0.order_t)
     trunc = Counter(state0.truncation_events)
     for k in range(order):
-        contrib, vac = _derivative_order(table, k, state0.max_edges, trunc)
+        contrib, vac = _derivative_order(table, k, state0.max_edges, trunc, reach - (k + 1))
         inv = Fraction(1, k + 1)
         for g, coeff in contrib.items():
             if coeff:
                 series = _series(table, g, order)
                 series[k + 1] = series[k + 1] + coeff.scale(inv)
         vacuum[k + 1] = vacuum[k + 1] + vac.scale(inv)
-    return FlowState(order, FREE_SUM, table, vacuum, state0.max_edges, dict(trunc))
+    return FlowState(order, FREE_SUM, table, vacuum, state0.max_edges, dict(trunc), cone_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +430,9 @@ def extract_resolvent(state: FlowState, order: int) -> list[Fraction]:
 
     The coefficient of 1/z^(k+2) is the large-N limit of the n^0 grade of
     the tadpole series at t^k; a surviving positive N grade is a rewrite
-    bug and raises FlowInvariantError.
+    bug and raises FlowInvariantError.  A tadpole coefficient that the
+    state cannot certify exact (see FlowState.is_exact) raises
+    CapacityError.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -378,6 +441,9 @@ def extract_resolvent(state: FlowState, order: int) -> list[Fraction]:
     free = to_free_basis(state)
     coeffs = [Fraction(1)]
     for k in range(order - 1):
+        if not state.is_exact(TADPOLE, k):
+            raise CapacityError(f"tadpole t^{k} is not exact under max_edges={state.max_edges}: "
+                                f"dropped terms reach it")
         w = free.coefficient(TADPOLE, k).n_grade(0)
         try:
             coeffs.append(w.large_N_limit())
@@ -502,6 +568,7 @@ class BoundEntry:
     part: str  # "gaussian" or "perturbation"
     eulerian: bool
     half_grade: Fraction | None  # grade of N^(v-c-e/2) C at n^0, in units of N^(1/2)
+    exact: bool  # both the full flow and the Gaussian re-flow certify the coefficient
     ok: bool
 
 
@@ -528,7 +595,7 @@ def check_bounds_flow(state: FlowState, spec: CumulantSpec) -> FlowBoundsReport:
     from .graphs import connected_components, is_eulerian
 
     gauss_state = integrate_flow(initial_potential(spec.gaussian_only(), state.max_edges),
-                                 state.order_t)
+                                 state.order_t, state.cone_edges)
     full_d = to_distinct_basis(state)
     gauss_d = to_distinct_basis(gauss_state)
     entries: list[BoundEntry] = []
@@ -538,6 +605,7 @@ def check_bounds_flow(state: FlowState, spec: CumulantSpec) -> FlowBoundsReport:
         vc2 = 2 * (g.num_vertices - len(connected_components(g)))
         euler = is_eulerian(g)
         for k in range(state.order_t + 1):
+            exact = state.is_exact(g, k) and gauss_state.is_exact(g, k)
             gauss_c = gauss_d.coefficient(g, k)
             pert_c = full_d.coefficient(g, k) - gauss_c
             for part, coeff in (("gaussian", gauss_c), ("perturbation", pert_c)):
@@ -550,7 +618,7 @@ def check_bounds_flow(state: FlowState, spec: CumulantSpec) -> FlowBoundsReport:
                 if n0:
                     grade = Fraction(max(b for (_, b), _ in n0.terms) + vc2, 2)
                     ok = grade < 0 if strict else grade <= 0
-                entries.append(BoundEntry(g.to_text(), k, part, euler, grade, ok))
+                entries.append(BoundEntry(g.to_text(), k, part, euler, grade, exact, ok))
                 for (a, b), _ in coeff.terms:
                     if a >= 1:
                         high = Fraction(b + vc2, 2)

@@ -197,13 +197,19 @@ def test_rg_flow_writes_state(tmp_path):
 
 def test_rg_flow_max_edges_zero_exits_3(tmp_path):
     out = tmp_path / "out"
-    # 9 is past graphs.MAX_CANONICAL_EDGES and must fail before any flow work
-    for max_edges in (0, 9):
+    # 9 is past graphs.MAX_CANONICAL_EDGES and must fail before any flow work;
+    # under 2 and 3 the dropped terms reach the tadpole at t^3 and t^5
+    for max_edges in (0, 9, 2, 3):
         result = run_cli(["rg-flow", "--order", "7", "--max-edges", str(max_edges),
                           "--out", str(out)])
         assert result.returncode == 3
         assert f"max_edges={max_edges}" in result.stderr
         assert not (out / "flow_state.json").exists()
+        assert result.stdout == ""
+    # under 4 they reach it only at t^7, which order 7 does not read
+    result = run_cli(["rg-flow", "--order", "7", "--max-edges", "4"])
+    assert result.returncode == 0
+    assert result.stdout.strip() == "1, 0, 1, 0, 2, 0, 5"
 
 
 def test_rg_flow_rational_sigma():
@@ -218,6 +224,28 @@ def test_rg_flow_with_perturbation_runs():
                       "--pert-coeff", "1", "--pert-nhalf", "-1"])
     assert result.returncode == 0
     assert result.stdout.strip().startswith("1, 0")
+
+
+def test_rg_flow_rejects_unused_perturbation_flags():
+    for flags in (["--pert-coeff", "5"], ["--pert-nhalf", "2"], ["--pert-nhalf", "0"]):
+        result = run_cli(["rg-flow", "--order", "3", *flags])
+        assert result.returncode == 2
+        assert "--pert-graph" in result.stderr
+        assert result.stdout == ""
+
+
+def test_rg_flow_bounds_cover_the_tadpole_cone(tmp_path):
+    out = tmp_path / "flow"
+    result = run_cli(["rg-flow", "--order", "7", "--max-edges", "4", "--out", str(out),
+                      "--pert-graph", "v=2;e=0->1,0->1", "--pert-coeff", "1/2"])
+    assert result.returncode == 0
+    lines = (out / "bounds.txt").read_text().splitlines()
+    assert lines and all(line.endswith(" ok=True") for line in lines)
+    assert any(" exact=False " in line for line in lines)
+    assert all(" exact=True " in line or " exact=False " in line for line in lines)
+    doc = json.loads((out / "flow_state.json").read_text())
+    assert doc["cone_edges"] == 1
+    assert doc["graphs"]["v=1;e=0->0"] and len(doc["graphs"]["v=1;e=0->0"]) == 8
 
 
 def test_rg_flow_bound_violation_exits_4():
@@ -257,6 +285,9 @@ def test_verify_combinatorics_suite():
     result = run_cli(["verify", "--suite", "combinatorics"])
     assert result.returncode == 0
     assert result.stdout.startswith("PASS")
+    # the check's wall time goes to stderr, never into the verdict lines
+    name, seconds = result.stderr.strip().split(": ")
+    assert name == "combinatorics" and float(seconds.removesuffix("s")) >= 0
 
 
 def test_verify_unknown_suite():

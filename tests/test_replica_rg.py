@@ -299,3 +299,125 @@ def test_flow_state_json_roundtrip():
         assert again == state
         assert again.truncation_events == tally
         assert again.dumps() == state.dumps()
+
+
+# --- light cone and exactness certificate -----------------------------------------------
+
+QUARTIC = RingElement.scalar(Fraction(1, 2))
+SIX_EDGES = CumulantGraph(3, ((0, 1), (1, 2), (2, 0), (0, 2), (2, 1), (1, 0)))
+CONE_SPECS = [
+    (SIGMA1, 6),
+    (SIGMA1.with_perturbation(DOUBLE_EDGE, QUARTIC), 6),
+    (SIGMA1.with_perturbation(DOUBLE_EDGE, QUARTIC), 4),
+    (SIGMA1.with_perturbation(CumulantGraph(3, ((0, 1), (0, 2), (1, 0), (2, 0))),
+                              RingElement.scalar(Fraction(1, 4))), 6),
+    (SIGMA1.with_perturbation(TWO_TWO_CYCLES, RingElement.N_half(-1)), 6),
+    (SIGMA1.with_perturbation(SIX_EDGES, RingElement.scalar(Fraction(1, 3))), 6),
+]
+
+
+def in_cone(state: FlowState, g: CumulantGraph, k: int) -> bool:
+    return k == 0 or g.num_edges <= state.cone_edges + state.order_t - k
+
+
+def test_light_cone_equals_full_flow():
+    order = 7
+    for spec, max_edges in CONE_SPECS:
+        full = integrate_flow(initial_potential(spec, max_edges), order)
+        cone = integrate_flow(initial_potential(spec, max_edges), order, TADPOLE.num_edges)
+        assert cone.cone_edges == 1
+        checked = 0
+        for g in set(full.table) | set(cone.table):
+            for k in range(order + 1):
+                if in_cone(cone, g, k):
+                    assert cone.coefficient(g, k) == full.coefficient(g, k), (g.to_text(), k)
+                    checked += 1
+                else:
+                    assert not cone.coefficient(g, k) and not cone.is_exact(g, k)
+        assert checked > 50
+        assert cone.vacuum == full.vacuum
+        # the cone tallies exactly the full flow's drops that lie inside it
+        assert cone.truncation_events == {
+            (j, e): n for (j, e), n in full.truncation_events.items() if e <= 1 + order - j}
+
+
+def test_certificate_marks_what_a_cap_changes():
+    spec = SIGMA1.with_perturbation(SIX_EDGES, RingElement.scalar(Fraction(1, 3)))
+    capped = integrate_flow(initial_potential(spec, 6), 7, 1)
+    wide = integrate_flow(initial_potential(spec, 8), 7, 1)
+    assert capped.truncation_events == {(1, 7): 6}
+    assert not wide.truncation_events
+    certified = uncertified = changed = 0
+    for g in set(capped.table) | set(wide.table):
+        for k in range(8):
+            if not in_cone(wide, g, k):
+                continue
+            assert wide.is_exact(g, k)
+            same = capped.coefficient(g, k) == wide.coefficient(g, k)
+            if capped.is_exact(g, k):
+                certified += 1
+                assert same, (g.to_text(), k)
+            else:
+                uncertified += 1
+                changed += not same
+    assert certified > 100 and uncertified > 0 and changed > 0
+    assert capped.is_exact(TADPOLE, 6) and not capped.is_exact(TADPOLE, 7)
+    report = check_bounds_flow(capped, spec)
+    assert any(not e.exact for e in report.entries)
+    assert all(e.exact for e in check_bounds_flow(wide, spec).entries)
+
+
+def test_resolvent_refuses_inexact_tadpole():
+    for max_edges, first_inexact in ((2, 3), (3, 5), (4, 7)):
+        state = integrate_flow(initial_potential(SIGMA1, max_edges), 7, 1)
+        assert [k for k in range(8) if not state.is_exact(TADPOLE, k)] == \
+            list(range(first_inexact, 8))
+        with pytest.raises(CapacityError, match=rf"t\^{first_inexact} .*max_edges={max_edges}"):
+            extract_resolvent(state, first_inexact + 2)
+        assert extract_resolvent(state, first_inexact + 1) == \
+            [1, 0, 1, 0, 2, 0, 5, 0][:first_inexact + 1]
+
+
+def test_derivative_certificate():
+    spec = SIGMA1.with_perturbation(DOUBLE_EDGE, QUARTIC)
+    cone = rg_derivative(integrate_flow(initial_potential(spec), 5, 1))
+    full = rg_derivative(integrate_flow(initial_potential(spec), 5))
+    assert cone.cone_edges == 0
+    for g in set(full.table) | set(cone.table):
+        for k in range(6):
+            assert cone.is_exact(g, k) == in_cone(cone, g, k)
+            if in_cone(cone, g, k):
+                assert cone.coefficient(g, k) == full.coefficient(g, k), (g.to_text(), k)
+    # the t^k derivative is (k+1) times the flow's t^(k+1): under max_edges 2
+    # the tadpole is inexact from t^3, so its derivative from t^2
+    capped = rg_derivative(integrate_flow(initial_potential(SIGMA1, 2), 4))
+    wide = rg_derivative(integrate_flow(initial_potential(SIGMA1), 4))
+    assert [k for k in range(5) if capped.is_exact(TADPOLE, k)] == [0, 1]
+    assert capped.coefficient(TADPOLE, 2) != wide.coefficient(TADPOLE, 2)
+    for g in capped.table:
+        for k in range(5):
+            assert wide.is_exact(g, k)
+            if capped.is_exact(g, k):
+                assert capped.coefficient(g, k) == wide.coefficient(g, k), (g.to_text(), k)
+
+
+def test_light_cone_cannot_widen():
+    state = integrate_flow(initial_potential(SIGMA1), 3, 1)
+    assert integrate_flow(state, 4, 0).cone_edges == 0
+    for wider in (None, 2):
+        with pytest.raises(ValueError):
+            integrate_flow(state, 4, wider)
+
+
+def test_cone_flow_state_json_roundtrip():
+    spec = SIGMA1.with_perturbation(DOUBLE_EDGE, QUARTIC)
+    state = integrate_flow(initial_potential(spec), 7, 1)
+    doc = state.to_json()
+    assert doc["cone_edges"] == 1
+    # series stop at each graph's last in-cone order
+    assert {len(series) for series in doc["graphs"].values()} == set(range(4, 9))
+    again = FlowState.from_json(doc)
+    assert again == state
+    assert again.cone_edges == 1
+    assert again.dumps() == state.dumps()
+    assert "cone_edges" not in integrate_flow(initial_potential(spec), 2).to_json()
