@@ -31,7 +31,7 @@ from .replica_rg import (DEFAULT_MAX_EDGES, MAX_FLOW_ORDER, TADPOLE, CumulantSpe
                          initial_potential, integrate_flow)
 from .ring import RingElement
 from .semicircle import SemicircleParams
-from .spectral import SpectrumSample, convergence_scan, histogram, spectra
+from .spectral import convergence_scan, histogram, spectra
 from .svgplot import render_histogram_svg
 
 EXIT_OK = 0
@@ -215,6 +215,8 @@ def cmd_rg_flow(order: int, sigma: Fraction, pert_graph: str | None = None,
         raise CapacityError(f"flow order must be in [1, {MAX_FLOW_ORDER}]")
     if pert_graph is None and (pert_coeff is not None or pert_nhalf is not None):
         raise ConfigError("--pert-coeff and --pert-nhalf need --pert-graph")
+    if sigma <= 0:
+        raise ConfigError("--sigma must be positive")
     spec = CumulantSpec.gaussian_spec(sigma * sigma)
     if pert_graph is not None:
         graph = CumulantGraph.from_text(pert_graph)
@@ -255,8 +257,7 @@ def cmd_plot(spectra_files: list[Path], sigma: float, bins: int,
                 eigs.append(float(line.rsplit(",", 1)[1]))
     if not eigs:
         raise ConfigError("no eigenvalues found in the given spectra files")
-    pooled = SpectrumSample(len(eigs), np.sort(np.array(eigs)))
-    bars = histogram(pooled, bins, value_range)
+    bars = histogram(eigs, bins, value_range)
     svg = render_histogram_svg(bars, sigma)
     _write_text(out_file, svg)
     return EXIT_OK

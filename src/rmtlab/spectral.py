@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -15,46 +15,39 @@ from .semicircle import SemicircleParams, cdf as semicircle_cdf, moment as semic
 MAX_MOMENT_ORDER = 12
 
 
-@dataclass(frozen=True)
-class SpectrumSample:
-    n: int
-    eigs_scaled: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        if len(self.eigs_scaled) != self.n:
-            raise ValueError("eigenvalue count does not match n")
-
-
-def scale_spectrum(eigs: Sequence[float], n: int, meta: dict | None = None) -> SpectrumSample:
+def scale_spectrum(eigs: Sequence[float], n: int) -> np.ndarray:
     """Eigenvalues of M mapped to the spectrum of M / sqrt(n), ascending."""
     eigs = np.asarray(eigs, dtype=float)
     if eigs.shape != (n,):
         raise ValueError(f"expected {n} eigenvalues, got shape {eigs.shape}")
-    return SpectrumSample(n, np.sort(eigs / math.sqrt(n)), meta or {})
+    return np.sort(eigs / math.sqrt(n))
 
 
-def esd_moment(s: SpectrumSample, k: int) -> float:
-    """Single-sample estimator (1/N) sum lambda^k of the scaled spectrum."""
+def esd_moment(eigs: np.ndarray, k: int) -> np.ndarray:
+    """(1/N) sum lambda^k along the last axis: one value per spectrum, so a
+    scalar for one spectrum and a ``[count]`` array for ``spectra``'s output."""
     if not (0 <= k <= MAX_MOMENT_ORDER):
         raise ValueError(f"moment order must be in [0, {MAX_MOMENT_ORDER}]")
-    return float(np.mean(pooled_eigs(s) ** k))
+    return np.mean(eigs ** k, axis=-1)
 
 
-def pooled_eigs(s) -> np.ndarray:
-    if isinstance(s, SpectrumSample):
-        return s.eigs_scaled
-    return np.sort(np.concatenate([x.eigs_scaled for x in s]))
+def _finite_entries(values) -> np.ndarray:
+    """All entries of ``values``, of any shape; empty or non-finite input is refused."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ValueError("empty spectrum")
+    if not np.isfinite(values).all():
+        raise ValueError("spectrum holds a non-finite value")
+    return values
 
 
-def histogram(s, bins: int, value_range: tuple[float, float]) -> list[tuple[float, float]]:
-    """(bin_center, density) pairs, normalized against the full sample count."""
+def histogram(values, bins: int, value_range: tuple[float, float]) -> list[tuple[float, float]]:
+    """(bin_center, density) pairs over every entry of ``values``, normalized
+    against the full entry count."""
     a, b = value_range
     if bins < 1 or not a < b:
         raise ValueError("need bins >= 1 and a < b")
-    values = pooled_eigs(s)
-    if values.size == 0:
-        raise ValueError("empty spectrum")
+    values = _finite_entries(values)
     counts, edges = np.histogram(values, bins=bins, range=(a, b))
     width = (b - a) / bins
     centers = (edges[:-1] + edges[1:]) / 2.0
@@ -62,11 +55,12 @@ def histogram(s, bins: int, value_range: tuple[float, float]) -> list[tuple[floa
     return list(zip(centers.tolist(), density.tolist()))
 
 
-def ks_distance_to_semicircle(s, sigma: float) -> float:
-    """sup_x |empirical CDF - semicircle CDF| over all jump points."""
+def ks_distance_to_semicircle(values, sigma: float) -> float:
+    """sup_x |empirical CDF - semicircle CDF| over all jump points, pooling
+    every entry of ``values``."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    values = pooled_eigs(s)
+    values = np.sort(_finite_entries(values), axis=None)
     m = values.size
     params = SemicircleParams(sigma)
     ref = np.array([semicircle_cdf(x, params) for x in values])
@@ -92,12 +86,10 @@ def spectra(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
     Sampler warnings are appended to ``warnings[str(n)]`` when a dict is given."""
     out = np.empty((count, n))
     for s, matrix in enumerate(sample_stream(spec, n, count, rng)):
-        out[s] = eigenvalues_hermitian(matrix)
+        out[s] = scale_spectrum(eigenvalues_hermitian(matrix), n)
         found = matrix.meta.get("warnings")
         if warnings is not None and found:
             warnings.setdefault(str(n), []).extend(found)
-    out /= math.sqrt(n)
-    out.sort(axis=1)
     return out
 
 
@@ -119,13 +111,9 @@ def convergence_scan(spec: EnsembleSpec, n_grid: Sequence[int], k_list: Sequence
     for n_index, n in enumerate(n_grid):
         eigs = spectra(spec, n, samples_per_n, rng.substream(n_index), warnings)
         for k in k_list:
-            vals = np.mean(eigs ** k, axis=1)
+            vals = esd_moment(eigs, k)
             mean = float(vals.mean())
             stderr = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
             rows.append(MomentRow(n, k, mean, stderr, abs(mean - semicircle_moment(k, params))))
     return rows
 
-
-def pooled_samples(spec: EnsembleSpec, n: int, count: int, rng: RngHandle) -> list[SpectrumSample]:
-    return [SpectrumSample(n, row, {"sample": idx})
-            for idx, row in enumerate(spectra(spec, n, count, rng))]

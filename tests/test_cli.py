@@ -226,6 +226,17 @@ def test_rg_flow_with_perturbation_runs():
     assert result.stdout.strip().startswith("1, 0")
 
 
+def test_rg_flow_rejects_non_positive_sigma(tmp_path, capsys):
+    out = tmp_path / "flow"
+    for sigma in ("0", "-2"):
+        code = main(["rg-flow", "--order", "3", "--sigma", sigma, "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--sigma" in captured.err
+        assert not out.exists()
+
+
 def test_rg_flow_rejects_unused_perturbation_flags():
     for flags in (["--pert-coeff", "5"], ["--pert-nhalf", "2"], ["--pert-nhalf", "0"]):
         result = run_cli(["rg-flow", "--order", "3", *flags])
@@ -279,6 +290,18 @@ def test_plot_missing_file_exits_2(tmp_path):
     result = run_cli(["plot", "--spectra", str(tmp_path / "nope.csv"),
                       "--out", str(tmp_path / "x.svg")])
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_plot_rejects_non_finite_spectra(tmp_path, capsys, bad):
+    spectra = tmp_path / "spectra_N2.csv"
+    spectra.write_text("sample_index,eig_index,lambda_scaled\n"
+                       f"0,0,-0.5\n0,1,0.5\n1,0,0.25\n1,1,{bad}\n")
+    target = tmp_path / "x.svg"
+    code = main(["plot", "--spectra", str(spectra), "--out", str(target)])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not target.exists()
 
 
 def test_verify_combinatorics_suite():

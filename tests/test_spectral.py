@@ -7,33 +7,27 @@ from rmtlab import spectral
 from rmtlab.ensembles import EnsembleSpec, MetropolisParams, sample_stream
 from rmtlab.linalg import RngHandle, eigenvalues_hermitian
 from rmtlab.semicircle import SemicircleParams, cdf
-from rmtlab.spectral import (SpectrumSample, convergence_scan, esd_moment, histogram,
-                             ks_distance_to_semicircle, pooled_samples, scale_spectrum,
-                             spectra)
-
-
-def sample_of(values) -> SpectrumSample:
-    arr = np.sort(np.asarray(values, dtype=float))
-    return SpectrumSample(len(arr), arr)
+from rmtlab.spectral import (convergence_scan, esd_moment, histogram,
+                             ks_distance_to_semicircle, scale_spectrum, spectra)
 
 
 # --- scaling -------------------------------------------------------------------
 
 def test_scale_zero_case():
     s = scale_spectrum([0.0, 0.0, 0.0, 0.0], 4)
-    assert np.array_equal(s.eigs_scaled, np.zeros(4))
+    assert np.array_equal(s, np.zeros(4))
 
 
 def test_scale_sorts_after_division():
     s = scale_spectrum([2.0, -2.0], 2)
-    assert np.allclose(s.eigs_scaled, [-math.sqrt(2.0), math.sqrt(2.0)])
+    assert np.allclose(s, [-math.sqrt(2.0), math.sqrt(2.0)])
     s4 = scale_spectrum([2.0, -2.0, 0.0, 0.0], 4)
-    assert np.allclose(s4.eigs_scaled, [-1.0, 0.0, 0.0, 1.0])
+    assert np.allclose(s4, [-1.0, 0.0, 0.0, 1.0])
 
 
 def test_scale_identity_matrix():
     s = scale_spectrum(np.ones(9), 9)
-    assert np.allclose(s.eigs_scaled, np.full(9, 1.0 / 3.0))
+    assert np.allclose(s, np.full(9, 1.0 / 3.0))
 
 
 def test_scale_shape_error():
@@ -59,7 +53,7 @@ def test_spectra_rows_equal_per_matrix_pipeline(spec):
     matrices = list(sample_stream(spec, n, count, RngHandle(23, 0)))
     assert eigs.shape == (count, n)
     for row, matrix in zip(eigs, matrices):
-        want = scale_spectrum(eigenvalues_hermitian(matrix), n).eigs_scaled
+        want = np.sort(eigenvalues_hermitian(matrix) / math.sqrt(n))
         assert row.tobytes() == want.tobytes()
     found = [w for m in matrices for w in m.meta.get("warnings", [])]
     assert warnings == ({str(n): found} if found else {})
@@ -69,17 +63,20 @@ def test_spectra_rows_equal_per_matrix_pipeline(spec):
 # --- moments --------------------------------------------------------------------
 
 def test_esd_moment_examples():
-    s = sample_of([-1.0, 0.0, 1.0])
+    s = np.array([-1.0, 0.0, 1.0])
     assert esd_moment(s, 2) == pytest.approx(2.0 / 3.0)
     assert esd_moment(s, 0) == 1.0
     with pytest.raises(ValueError):
         esd_moment(s, 13)
+    # one moment per row of a [count, N] array
+    assert esd_moment(np.array([[-1.0, 0.0, 1.0], [2.0, 2.0, 2.0]]), 2) \
+        == pytest.approx([2.0 / 3.0, 4.0])
 
 
 def test_gue_fourth_moment_large_n_band():
     # 20 samples at N=1024: sample-mean k=4 moment inside [1.9, 2.1]
-    samples = pooled_samples(EnsembleSpec("gue"), 1024, 20, RngHandle(18, 0))
-    mean = float(np.mean([esd_moment(s, 4) for s in samples]))
+    eigs = spectra(EnsembleSpec("gue"), 1024, 20, RngHandle(18, 0))
+    mean = float(esd_moment(eigs, 4).mean())
     assert 1.9 <= mean <= 2.1
 
 
@@ -96,20 +93,20 @@ def test_esd_moment_matches_trace_identity():
 # --- histogram ------------------------------------------------------------------
 
 def test_histogram_single_point():
-    bars = histogram(sample_of([0.0]), 1, (-1.0, 1.0))
+    bars = histogram([0.0], 1, (-1.0, 1.0))
     assert bars == [(0.0, 0.5)]
 
 
 def test_histogram_uniform_grid():
     pts = np.linspace(-2.0, 2.0, 100)
-    bars = histogram(sample_of(pts), 4, (-2.0, 2.0))
+    bars = histogram(pts, 4, (-2.0, 2.0))
     assert [round(d, 12) for _, d in bars] == [0.25] * 4
 
 
 def test_histogram_mass_bound_and_positivity():
     rng = np.random.default_rng(3)
     values = rng.normal(size=500)
-    bars = histogram(sample_of(values), 17, (-1.0, 1.0))
+    bars = histogram(values, 17, (-1.0, 1.0))
     width = 2.0 / 17
     mass = sum(d for _, d in bars) * width
     assert 0.0 < mass <= 1.0 + 1e-9
@@ -118,14 +115,14 @@ def test_histogram_mass_bound_and_positivity():
 
 def test_histogram_empty_error():
     with pytest.raises(ValueError):
-        histogram(sample_of([1.0]), 0, (-1.0, 1.0))
+        histogram([1.0], 0, (-1.0, 1.0))
     with pytest.raises(ValueError):
-        histogram(sample_of([1.0]), 3, (1.0, -1.0))
+        histogram([1.0], 3, (1.0, -1.0))
 
 
 def test_gue_histogram_close_to_semicircle():
-    samples = pooled_samples(EnsembleSpec("gue"), 1000, 20, RngHandle(12, 0))
-    bars = histogram(samples, 50, (-2.0, 2.0))
+    eigs = spectra(EnsembleSpec("gue"), 1000, 20, RngHandle(12, 0))
+    bars = histogram(eigs, 50, (-2.0, 2.0))
     from rmtlab.semicircle import density
     params = SemicircleParams(1.0)
     sup = max(abs(d - density(c, params)) for c, d in bars)
@@ -149,20 +146,30 @@ def test_ks_of_semicircle_quantiles():
         return (lo + hi) / 2.0
 
     qs = [quantile((i - 0.5) / n) for i in range(1, n + 1)]
-    assert ks_distance_to_semicircle(sample_of(qs), 1.0) <= 1.0 / n + 1e-9
+    assert ks_distance_to_semicircle(qs, 1.0) <= 1.0 / n + 1e-9
 
 
 def test_ks_point_mass_at_zero():
-    assert ks_distance_to_semicircle(sample_of([0.0, 0.0, 0.0]), 1.0) \
+    assert ks_distance_to_semicircle([0.0, 0.0, 0.0], 1.0) \
         == pytest.approx(0.5, abs=1e-12)
 
 
 def test_ks_duplicate_pooling_invariant():
-    values = np.linspace(-1.5, 1.5, 40)
-    one = sample_of(values)
+    one = np.linspace(-1.5, 1.5, 40)
     ks1 = ks_distance_to_semicircle(one, 1.0)
-    ks2 = ks_distance_to_semicircle([one, one, one], 1.0)
-    assert ks1 == pytest.approx(ks2, abs=1e-15)
+    # three copies as the rows of a [3, 40] array, and as its flattened rows
+    for pooled in (np.stack([one, one, one]), np.concatenate([one, one, one])):
+        ks2 = ks_distance_to_semicircle(pooled, 1.0)
+        assert ks1 == pytest.approx(ks2, abs=1e-15)
+
+
+def test_ks_sorts_its_input():
+    params = SemicircleParams(1.0)
+    want = max(cdf(-0.5, params), 1.0 - cdf(0.5, params))
+    assert ks_distance_to_semicircle([0.5, -0.5], 1.0) == pytest.approx(want, abs=1e-15)
+    values = np.random.default_rng(4).normal(size=200)
+    assert ks_distance_to_semicircle(values, 1.0) \
+        == ks_distance_to_semicircle(np.sort(values), 1.0)
 
 
 def test_ks_mixture_of_semicircles_detectable():
@@ -174,13 +181,23 @@ def test_ks_mixture_of_semicircles_detectable():
     grid = np.linspace(-2.5, 2.5, 2001)
     sup = max(abs(0.5 * cdf(x, narrow) + 0.5 * cdf(x, wide) - cdf(x, params)) for x in grid)
     assert 0.025 <= sup <= 0.028
-    samples = pooled_samples(EnsembleSpec("common_factor"), 512, 20, RngHandle(13, 0))
-    assert ks_distance_to_semicircle(samples, 1.0) >= 0.02
+    eigs = spectra(EnsembleSpec("common_factor"), 512, 20, RngHandle(13, 0))
+    assert ks_distance_to_semicircle(eigs, 1.0) >= 0.02
 
 
 def test_ks_validates_sigma():
     with pytest.raises(ValueError):
-        ks_distance_to_semicircle(sample_of([0.0]), 0.0)
+        ks_distance_to_semicircle([0.0], 0.0)
+
+
+@pytest.mark.parametrize("values", [[], np.empty((3, 0)), [0.0, math.nan],
+                                    [[0.5, math.inf], [0.0, 0.1]], [-math.inf]],
+                         ids=["empty", "empty-rows", "nan", "inf", "-inf"])
+def test_readers_reject_empty_or_non_finite(values):
+    with pytest.raises(ValueError, match="empty|non-finite"):
+        histogram(values, 4, (-1.0, 1.0))
+    with pytest.raises(ValueError, match="empty|non-finite"):
+        ks_distance_to_semicircle(values, 1.0)
 
 
 # --- convergence scan ----------------------------------------------------------------
