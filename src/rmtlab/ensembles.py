@@ -20,7 +20,7 @@ import numpy as np
 from . import exactvalues as ev
 from .exactvalues import ENTRY_DISTS, ExactComplex, InexactValue
 from .graphs import CumulantGraph
-from .linalg import HermitianMatrix, RngHandle
+from .linalg import HermitianMatrix, RngHandle, standard_complex_normals
 
 KINDS = ("gue", "wigner", "common_factor", "damped_common_factor", "quartic_invariant")
 
@@ -88,8 +88,10 @@ class MetropolisParams:
     burn_in: int = 150      # burn-in sweeps
 
     def __post_init__(self):
-        if self.steps < 1 or self.burn_in < 0 or self.step_size <= 0:
+        if self.steps < 1 or self.burn_in < 0:
             raise ParameterError("invalid metropolis parameters")
+        if not 0 < self.step_size < math.inf:
+            raise ParameterError("metropolis step_size must be positive and finite")
 
     def to_json(self) -> dict:
         return {"steps": self.steps, "step_size": self.step_size, "burn_in": self.burn_in}
@@ -115,16 +117,16 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown ensemble kind {self.kind!r}")
-        if not (self.sigma > 0):
-            raise ParameterError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ParameterError("sigma must be positive and finite")
         if self.entry_dist not in ENTRY_DISTS:
             raise ParameterError(f"unknown entry_dist {self.entry_dist!r}")
-        if self.damping_alpha < 0:
-            raise ParameterError("damping_alpha must be non-negative")
-        if self.quartic_g < 0:
-            raise ParameterError("quartic_g must be non-negative")
-        if self.diagonal_variance is not None and self.diagonal_variance < 0:
-            raise ParameterError("diagonal_variance must be non-negative")
+        if not 0 <= self.damping_alpha < math.inf:
+            raise ParameterError("damping_alpha must be non-negative and finite")
+        if not 0 <= self.quartic_g < math.inf:
+            raise ParameterError("quartic_g must be non-negative and finite")
+        if self.diagonal_variance is not None and not 0 <= self.diagonal_variance < math.inf:
+            raise ParameterError("diagonal_variance must be non-negative and finite")
 
     @property
     def diag_variance(self) -> float:
@@ -238,10 +240,7 @@ def sample(spec: EnsembleSpec, n: int, rng: RngHandle) -> HermitianMatrix:
         upper = _wigner_matrix(spec, n, rng) * g
         return HermitianMatrix.from_upper(upper, {"kind": spec.kind, "factor": g})
     if spec.kind == "quartic_invariant":
-        chain = QuarticChain(spec, n, rng)
-        chain.run_sweeps(spec.metropolis.burn_in, adapt=True)
-        chain.run_sweeps(spec.metropolis.steps, adapt=False)
-        return chain.matrix()
+        return next(sample_stream(spec, n, 1, rng))
     raise ParameterError(f"unknown ensemble kind {spec.kind!r}")
 
 
@@ -259,12 +258,16 @@ def sample_stream(spec: EnsembleSpec, n: int, count: int, rng: RngHandle) -> Ite
 
 
 class QuarticChain:
-    """Metropolis chain for density exp{-N Tr(B^2/(2 sigma^2) + g B^4)}.
+    """Metropolis chain on the eigenvalues l of B = M/sqrt(N) for the density
+    prod_{i<j} |l_i - l_j|^2 exp{-N sum_i V(l_i)}, V(x) = x^2/(2 sigma^2) + g x^4:
+    the eigenvalue law of exp{-N Tr V(B)}, whose eigenvectors are Haar (Mehta).
 
-    B is the scaled matrix; retained samples are returned as M = sqrt(N) B so
-    the spectral pipeline (which studies M/sqrt(N)) sees an O(1) spectrum.
-    Proposals perturb one entry at a time in row-major sweep order; sweeps
-    maintain B^2 via rank-two updates and refresh it once per sweep.
+    A sweep makes N single-eigenvalue random-walk proposals, then a dilation
+    l -> c l (log c ~ N(0, 1/N^2)) and a shift l -> l + s (s ~ N(0, sigma^2/N^2)),
+    the two modes that single moves relax only in O(N) sweeps.  ``accept_rate``
+    is the mean acceptance probability min(1, e^-dS) of the last sweep's single
+    moves, less noisy than their 0/1 count when N is small.  ``matrix()``
+    returns sqrt(N) U diag(l) U^dagger with a fresh Haar U from its own stream.
     """
 
     def __init__(self, spec: EnsembleSpec, n: int, rng: RngHandle):
@@ -273,15 +276,37 @@ class QuarticChain:
         self.spec = spec
         self.n = n
         self.rng = rng
-        self.entry_scale = spec.sigma / math.sqrt(n)
-        self.step = spec.metropolis.step_size * self.entry_scale
-        # start from the g = 0 stationary law (exact for the Gaussian part)
-        init = _wigner_matrix(_as_gaussian_scaled(spec, n), n, rng.substream(0xC0FFEE))
-        b = np.triu(init, k=1)
-        self.B = b + b.conj().T
-        np.fill_diagonal(self.B, np.real(np.diag(init)))
-        self.B2 = self.B @ self.B
+        self.step = spec.metropolis.step_size * spec.sigma / math.sqrt(n)
+        # start from the eigenvalues of a g = 0 draw (exact for the Gaussian part)
+        gaussian = EnsembleSpec("wigner", sigma=spec.sigma / math.sqrt(n),
+                                diagonal_variance=spec.sigma ** 2 / n)
+        init = _wigner_matrix(gaussian, n, rng.substream(0xC0FFEE))
+        self.eigs = np.linalg.eigvalsh(init, UPLO="U")
+        self._haar_rng = rng.substream(0x4AA2)
         self.accept_rate = 0.0
+
+    def potential(self, x):
+        """N V(x), elementwise."""
+        x2 = x * x
+        return self.n * (x2 / (2.0 * self.spec.sigma ** 2) + self.spec.quartic_g * x2 * x2)
+
+    def move_action(self, i: int, new: float) -> float:
+        """Change of -log density when eigenvalue i moves to ``new``."""
+        lam = self.eigs
+        old = lam[i]
+        num = lam - new
+        den = lam - old
+        den[i] = num[i]
+        return (self.potential(new) - self.potential(old)
+                - 2.0 * float(np.log(np.abs(num / den)).sum()))
+
+    def global_action(self, log_c: float, shift: float) -> float:
+        """Minus the log acceptance ratio of l -> exp(log_c) l + shift: the
+        Jacobian and the Vandermonde give N^2 log c."""
+        lam = self.eigs
+        moved = math.exp(log_c) * lam + shift
+        return (float(self.potential(moved).sum() - self.potential(lam).sum())
+                - self.n * self.n * log_c)
 
     def run_sweeps(self, count: int, adapt: bool):
         for _ in range(count):
@@ -292,61 +317,27 @@ class QuarticChain:
                     self.step *= 0.8
                 elif rate > 0.65:
                     self.step *= 1.25
-            self.B2 = self.B @ self.B
 
     def _sweep(self) -> float:
         n = self.n
-        s2 = self.spec.sigma ** 2
-        g = self.spec.quartic_g
-        m = n * (n + 1) // 2
-        xs = self.rng.normals(m)
-        ys = self.rng.normals(m)
-        us = self.rng.uniform(m)
-        B, B2 = self.B, self.B2
-        accepted = 0
-        idx = 0
-        for i in range(n):
-            for j in range(i, n):
-                if i == j:
-                    d = xs[idx] * self.step
-                    bii = B[i, i].real
-                    d2 = 2.0 * d * bii + d * d
-                    t3 = (B2[i] @ B[:, i]).real
-                    d4 = (4.0 * d * t3 + 4.0 * d * d * B2[i, i].real
-                          + 2.0 * d * d * bii * bii + 4.0 * d ** 3 * bii + d ** 4)
-                    delta_s = n * (d2 / (2.0 * s2) + g * d4)
-                    if delta_s <= 0.0 or us[idx] < math.exp(-delta_s):
-                        B2[:, i] += d * B[:, i]
-                        B2[i, :] += d * B[i, :]
-                        B2[i, i] += d * d
-                        B[i, i] += d
-                        accepted += 1
-                else:
-                    delta = (xs[idx] + 1j * ys[idx]) * (self.step / math.sqrt(2.0))
-                    adelta2 = (delta * delta.conjugate()).real
-                    bji = B[j, i]
-                    d2 = 4.0 * (bji * delta).real + 2.0 * adelta2
-                    t3 = B2[j] @ B[:, i]
-                    d4 = (8.0 * (t3 * delta).real
-                          + 4.0 * adelta2 * (B2[i, i].real + B2[j, j].real)
-                          + 4.0 * (delta * delta * bji * bji).real
-                          + 4.0 * adelta2 * B[i, i].real * B[j, j].real
-                          + 8.0 * adelta2 * (bji * delta).real
-                          + 2.0 * adelta2 * adelta2)
-                    delta_s = n * (d2 / (2.0 * s2) + g * d4)
-                    if delta_s <= 0.0 or us[idx] < math.exp(-delta_s):
-                        cdelta = delta.conjugate()
-                        B2[:, j] += B[:, i] * delta
-                        B2[:, i] += B[:, j] * cdelta
-                        B2[i, :] += delta * B[j, :]
-                        B2[j, :] += cdelta * B[i, :]
-                        B2[i, i] += adelta2
-                        B2[j, j] += adelta2
-                        B[i, j] += delta
-                        B[j, i] += cdelta
-                        accepted += 1
-                idx += 1
-        return accepted / m
+        xs = self.rng.normals(n + 2)
+        us = self.rng.uniform(n + 2)
+        lam = self.eigs
+        accept_prob = 0.0
+        with np.errstate(divide="ignore"):
+            log_us = np.log(us)
+            for i in range(n):
+                new = lam[i] + xs[i] * self.step
+                action = self.move_action(i, new)
+                accept_prob += math.exp(-max(action, 0.0))
+                if log_us[i] < -action:
+                    lam[i] = new
+            log_c, shift = xs[n] / n, xs[n + 1] * self.spec.sigma / n
+            if log_us[n] < -self.global_action(log_c, 0.0):
+                lam *= math.exp(log_c)
+            if log_us[n + 1] < -self.global_action(0.0, shift):
+                lam += shift
+        return accept_prob / n
 
     def matrix(self) -> HermitianMatrix:
         meta = {"kind": "quartic_invariant", "acceptance_rate": self.accept_rate,
@@ -355,14 +346,17 @@ class QuarticChain:
         if not (lo <= self.accept_rate <= hi):
             meta["warnings"].append(
                 f"metropolis acceptance rate {self.accept_rate:.3f} outside [{lo}, {hi}]")
-        m = np.sqrt(float(self.n)) * self.B
-        upper = np.triu(m, k=1) + np.diag(np.real(np.diag(m)))
-        return HermitianMatrix.from_upper(upper, meta)
+        u = _haar_unitary(self._haar_rng, self.n)
+        return HermitianMatrix.from_upper((u * (math.sqrt(self.n) * self.eigs)) @ u.conj().T,
+                                          meta)
 
 
-def _as_gaussian_scaled(spec: EnsembleSpec, n: int) -> EnsembleSpec:
-    return EnsembleSpec("wigner", sigma=spec.sigma / math.sqrt(n), entry_dist="gaussian",
-                        diagonal_variance=spec.sigma ** 2 / n)
+def _haar_unitary(rng: RngHandle, n: int) -> np.ndarray:
+    """Haar unitary: QR of a complex Ginibre matrix, R's diagonal made positive
+    (Mezzadri, Notices AMS 54, 2007)."""
+    q, r = np.linalg.qr(standard_complex_normals(rng, (n, n)))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ class SemicircleParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
 
     @property
     def edge(self) -> float:

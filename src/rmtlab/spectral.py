@@ -58,11 +58,9 @@ def histogram(values, bins: int, value_range: tuple[float, float]) -> list[tuple
 def ks_distance_to_semicircle(values, sigma: float) -> float:
     """sup_x |empirical CDF - semicircle CDF| over all jump points, pooling
     every entry of ``values``."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    params = SemicircleParams(sigma)
     values = np.sort(_finite_entries(values), axis=None)
     m = values.size
-    params = SemicircleParams(sigma)
     ref = np.array([semicircle_cdf(x, params) for x in values])
     upper = np.arange(1, m + 1) / m
     lower = np.arange(0, m) / m

@@ -304,6 +304,33 @@ def test_plot_rejects_non_finite_spectra(tmp_path, capsys, bad):
     assert not target.exists()
 
 
+
+@pytest.mark.parametrize("field", ["quartic_g", "damping_alpha", "diagonal_variance",
+                                   "sigma", "step_size"])
+def test_moments_rejects_non_finite_ensemble_parameters(tmp_path, capsys, field):
+    ensemble = {"kind": "quartic_invariant", "quartic_g": 0.1,
+                "metropolis": {"steps": 1, "burn_in": 2}}
+    if field == "step_size":
+        ensemble["metropolis"]["step_size"] = float("nan")
+    else:
+        ensemble[field] = float("inf") if field == "sigma" else float("nan")
+    cfg = write_config(tmp_path, dict(GUE_DOC, ensemble=ensemble))
+    out = tmp_path / "out"
+    assert main(["moments", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_plot_rejects_non_finite_sigma(tmp_path, capsys, sigma):
+    spectra = tmp_path / "spectra_N2.csv"
+    spectra.write_text("sample_index,eig_index,lambda_scaled\n0,0,-0.5\n0,1,0.5\n")
+    target = tmp_path / "x.svg"
+    code = main(["plot", "--spectra", str(spectra), "--sigma", sigma, "--out", str(target)])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not target.exists()
+
 def test_verify_combinatorics_suite():
     result = run_cli(["verify", "--suite", "combinatorics"])
     assert result.returncode == 0

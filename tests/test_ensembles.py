@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -29,6 +30,21 @@ def test_spec_validation():
     with pytest.raises(ParameterError):
         EnsembleSpec("damped_common_factor", damping_alpha=-1.0)
 
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["sigma", "quartic_g", "damping_alpha",
+                                   "diagonal_variance", "step_size"])
+def test_spec_rejects_non_finite_parameters(field, bad):
+    # through the JSON reader too, which takes NaN and Infinity literals
+    metropolis = {"step_size": bad} if field == "step_size" else {}
+    doc = {"kind": "quartic_invariant", "metropolis": metropolis}
+    if field != "step_size":
+        doc[field] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        EnsembleSpec.from_json(doc)
+    with pytest.raises(ParameterError, match="finite"):
+        EnsembleSpec.loads(json.dumps(doc))
 
 def test_factor_dist_must_have_unit_second_moment():
     with pytest.raises(ParameterError):
