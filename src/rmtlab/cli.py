@@ -203,7 +203,7 @@ def cmd_cumulant_scan(config: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_rg_flow(order: int, sigma: Fraction, pert_graph: str | None = None,
                 pert_coeff: Fraction | None = None, pert_nhalf: int | None = None,
-                max_edges: int | None = None, out_dir: Path | None = None,
+                max_edges: int = DEFAULT_MAX_EDGES, out_dir: Path | None = None,
                 stream=None) -> int:
     """Run the exact flow, print the resolvent series, check the bounds.
 
@@ -223,8 +223,7 @@ def cmd_rg_flow(order: int, sigma: Fraction, pert_graph: str | None = None,
         value = RingElement({(0, pert_nhalf or 0):
                              Fraction(pert_coeff if pert_coeff is not None else 1)})
         spec = spec.with_perturbation(graph, value)
-    state = integrate_flow(initial_potential(
-        spec, DEFAULT_MAX_EDGES if max_edges is None else max_edges), order, TADPOLE.num_edges)
+    state = integrate_flow(initial_potential(spec, max_edges), order, TADPOLE.num_edges)
     coeffs = extract_resolvent(state, order)
     print(", ".join(str(c) for c in coeffs), file=stream)
     report = check_bounds_flow(state, spec)
@@ -298,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument("--pert-coeff", type=Fraction, default=None)
     flow.add_argument("--pert-nhalf", type=int, default=None,
                       help="N grade of the perturbation, in units of N^(1/2) (default 0)")
-    flow.add_argument("--max-edges", type=int, default=None)
+    flow.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
     flow.add_argument("--out", default=None)
 
     plot = sub.add_parser("plot", help="SVG histogram with semicircle overlay")

@@ -13,14 +13,15 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from . import exactvalues as ev
-from .exactvalues import ENTRY_DISTS, ExactComplex, InexactValue
+from .exactvalues import ENTRY_DISTS, InexactValue
 from .graphs import CumulantGraph
 from .linalg import HermitianMatrix, RngHandle, standard_complex_normals
+from .partitions import cumulants_from_moments, moments_from_cumulants
 
 KINDS = ("gue", "wigner", "common_factor", "damped_common_factor", "quartic_invariant")
 
@@ -56,16 +57,6 @@ class FactorDistribution:
 
     def mean_square(self) -> Fraction:
         return sum(w * s for w, s in zip(self.weights, self.squares))
-
-    def moment(self, k: int) -> float:
-        return float(sum(w * float(s) ** (k / 2) for w, s in zip(self.weights, self.squares)))
-
-    def moment_exact(self, k: int) -> Fraction:
-        """E[g^k]; raises InexactValue when odd powers leave the rationals."""
-        if k % 2 == 0:
-            return sum(w * s ** (k // 2) for w, s in zip(self.weights, self.squares))
-        return sum(w * ev.sqrt_fraction_or_raise(s) ** k
-                   for w, s in zip(self.weights, self.squares))
 
     def values(self) -> np.ndarray:
         return np.sqrt(np.array([float(s) for s in self.squares]))
@@ -373,8 +364,9 @@ def entry_cumulant_oracle(spec: EnsembleSpec, graph: CumulantGraph,
 
     Computed analytically from the ensemble construction; returns None when
     the kind or order is unsupported.  Damped ensembles depend on the matrix
-    size, so ``n`` is required for them.  Values are exact rationals in
-    Q[i, sqrt2] wherever the construction allows, floats otherwise.
+    size, so ``n`` is required for them.  The value is computed once in
+    exact Q[i, sqrt2] arithmetic and, only if that raises InexactValue,
+    again in floats; so it is the rounded exact value wherever that exists.
     """
     if spec.kind not in ORACLE_KINDS or graph.num_edges > ORACLE_MAX_EDGES:
         return None
@@ -385,9 +377,9 @@ def entry_cumulant_oracle(spec: EnsembleSpec, graph: CumulantGraph,
     if spec.kind == "damped_common_factor" and n is None:
         raise ParameterError("damped ensembles need the matrix size n")
     try:
-        return _oracle_exact(spec, edges, n).to_complex()
+        return complex(_entry_cumulant(spec, edges, n, _EXACT))
     except InexactValue:
-        return _oracle_float(spec, edges, n)
+        return complex(_entry_cumulant(spec, edges, n, _FLOAT))
 
 
 def _orbit(edge: tuple[int, int]):
@@ -395,119 +387,62 @@ def _orbit(edge: tuple[int, int]):
     return (i,) if i == j else (min(i, j), max(i, j))
 
 
-def _wigner_block_cumulant_exact(spec: EnsembleSpec, block: list[tuple[int, int]]) -> ExactComplex:
-    """Joint cumulant of entries of an independent-entry draw, one block."""
-    orbits = {_orbit(e) for e in block}
-    if len(orbits) != 1:
-        return ev.ZERO
-    orbit = orbits.pop()
-    k = len(block)
-    dist = "gaussian" if spec.kind == "gue" else spec.entry_dist
-    kappa = ev.entry_cumulant(dist, k)
-    if not kappa:
-        return ev.ZERO
-    sigma = Fraction(spec.sigma)
-    if len(orbit) == 1:
-        if spec.diagonal_variance is None:
-            sigma_d = sigma
-        else:
-            sigma_d = ev.sqrt_fraction_or_raise(Fraction(spec.diagonal_variance))
-        return ExactComplex(sigma_d**k * kappa)
-    a, b = orbit
-    p = sum(1 for e in block if e == (a, b))
-    q = k - p
-    scale = ev.half_power_of_two(k) * Fraction(sigma**k)
-    return scale * kappa * (ev.ONE + ev.i_power(p - q))
+class _Scalars(NamedTuple):
+    """The arithmetic ``_entry_cumulant`` runs in: exact Q[i, sqrt2] or floats."""
+
+    sqrt: Callable           # root of a non-negative Fraction
+    inverse_power: Callable  # (n, alpha) -> n^(-alpha)
+    i_power: Callable        # k -> i^k
 
 
-def _factor_moment_exact(spec: EnsembleSpec, k: int, n: int | None) -> Fraction:
-    if spec.kind == "common_factor":
-        return spec.factor_dist.moment_exact(k)
-    alpha = spec.damping_alpha
-    if float(alpha).is_integer():
-        h2 = Fraction(1, n ** int(alpha)) if alpha else Fraction(1)
-    else:
+def _exact_inverse_power(n: int, alpha: float) -> Fraction:
+    if not float(alpha).is_integer():
         raise InexactValue("non-integer damping exponent")
-    return sum(math.comb(k, j) * h2 ** (j // 2) for j in range(0, k + 1, 2))
+    return Fraction(1, n ** int(alpha))
 
 
-def _oracle_exact(spec: EnsembleSpec, edges: list, n: int | None) -> ExactComplex:
-    from .partitions import set_partitions
-
-    if spec.kind in ("gue", "wigner"):
-        return _wigner_block_cumulant_exact(spec, edges)
-    # M = g W: invert the moment function m(S) = E[g^|S|] m_W(S)
-    def w_moment(block: list) -> ExactComplex:
-        total = ev.ZERO
-        for part in set_partitions(len(block)):
-            prod = ev.ONE
-            for sub in part.blocks:
-                prod = prod * _wigner_block_cumulant_exact(spec, [block[i] for i in sub])
-                if not prod:
-                    break
-            total = total + prod
-        return total
-
-    total = ev.ZERO
-    for part in set_partitions(len(edges)):
-        prod = ExactComplex(part.moebius_weight())
-        for blk in part.blocks:
-            sub = [edges[i] for i in blk]
-            prod = prod * _factor_moment_exact(spec, len(sub), n) * w_moment(sub)
-            if not prod:
-                break
-        total = total + prod
-    return total
+_EXACT = _Scalars(ev.sqrt_fraction_or_raise, _exact_inverse_power, ev.i_power)
+_FLOAT = _Scalars(math.sqrt, lambda n, alpha: float(n) ** -alpha, lambda k: 1j ** (k % 4))
 
 
-def _oracle_float(spec: EnsembleSpec, edges: list, n: int | None) -> complex:
-    from .partitions import set_partitions
+def _entry_cumulant(spec: EnsembleSpec, edges: list, n: int | None, scalars: _Scalars):
+    """Joint cumulant of the entries at ``edges``, in ``scalars``."""
+    dist = "gaussian" if spec.kind == "gue" else spec.entry_dist
 
-    def w_block(block: list) -> complex:
+    def w_cumulant(block) -> object:
+        """Joint cumulant of entries of the independent-entry draw W."""
         orbits = {_orbit(e) for e in block}
         if len(orbits) != 1:
-            return 0j
+            return 0
         orbit = orbits.pop()
         k = len(block)
-        dist = "gaussian" if spec.kind == "gue" else spec.entry_dist
-        kappa = float(ev.entry_cumulant(dist, k))
+        kappa = ev.entry_cumulant(dist, k)
         if not kappa:
-            return 0j
+            return 0
         if len(orbit) == 1:
-            return complex(math.sqrt(spec.diag_variance) ** k * kappa)
-        a, b = orbit
-        p = sum(1 for e in block if e == (a, b))
-        return ((spec.sigma / math.sqrt(2.0)) ** k * kappa
-                * (1.0 + 1j ** ((p - (k - p)) % 4)))
+            variance = (Fraction(spec.sigma) ** 2 if spec.diagonal_variance is None
+                        else Fraction(spec.diagonal_variance))
+            return scalars.sqrt(variance ** k) * kappa
+        p = sum(1 for e in block if e == orbit)
+        variance = Fraction(spec.sigma) ** 2 / 2
+        return scalars.sqrt(variance ** k) * kappa * (1 + scalars.i_power(2 * p - k))
 
-    def g_moment(k: int) -> float:
-        if spec.kind == "wigner" or spec.kind == "gue":
-            return 1.0
+    def factor_moment(k: int) -> object:
+        """E[g^k] for the scalar factor g."""
         if spec.kind == "common_factor":
-            return spec.factor_dist.moment(k)
-        h = float(n) ** (-spec.damping_alpha / 2.0)
-        return sum(math.comb(k, j) * h ** j for j in range(0, k + 1, 2))
-
-    def w_moment(block: list) -> complex:
-        total = 0j
-        for part in set_partitions(len(block)):
-            prod = 1 + 0j
-            for sub in part.blocks:
-                prod *= w_block([block[i] for i in sub])
-                if not prod:
-                    break
-            total += prod
-        return total
+            fd = spec.factor_dist
+            return sum(w * scalars.sqrt(s ** k) for w, s in zip(fd.weights, fd.squares))
+        # damped: g = 1 + xi h with h^2 = n^(-alpha) and a fair sign xi
+        h2 = scalars.inverse_power(n, spec.damping_alpha)
+        return sum(math.comb(k, j) * h2 ** (j // 2) for j in range(0, k + 1, 2))
 
     if spec.kind in ("gue", "wigner"):
-        return w_block(edges)
-    total = 0j
-    for part in set_partitions(len(edges)):
-        prod = complex(part.moebius_weight())
-        for blk in part.blocks:
-            sub = [edges[i] for i in blk]
-            prod *= g_moment(len(sub)) * w_moment(sub)
-            if not prod:
-                break
-        total += prod
-    return total
+        return w_cumulant(edges)
+
+    def moment(block) -> object:
+        # M = g W, so E[M_S] = E[g^|S|] E[W_S].  The W-moment goes first: when
+        # it vanishes, E[g^|S|] (perhaps outside Q[i, sqrt2]) is never asked for.
+        w = moments_from_cumulants(w_cumulant, block)
+        return factor_moment(len(block)) * w if w else 0
+
+    return cumulants_from_moments(moment, edges)

@@ -1,10 +1,13 @@
 """Exact complex values in Q[i, sqrt(2)] plus entry-distribution moments.
 
 Joint cumulants of Hermitian-matrix entries built from mean-0, variance-1
-real distributions live in this ring: the off-diagonal normalization
-(x + iy)/sqrt(2) contributes half-integer powers of 2, everything else is
-rational.  Cases that leave the ring (odd moments of irrational factor
-values) raise InexactValue so callers can fall back to floats.
+real distributions mostly live in this ring: the off-diagonal
+normalization (x + iy)/sqrt(2) contributes half-integer powers of 2, and
+``sqrt_fraction_or_raise`` takes the square root of any rational whose
+root lies in Q[sqrt(2)].  A root outside it (an odd moment of a factor
+value like sqrt(3/2)) raises InexactValue, so callers can redo the sum in
+floats.  Entry cumulants come from entry moments through
+``partitions.cumulants_from_moments``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .partitions import set_partitions
+from .partitions import cumulants_from_moments
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -38,8 +41,12 @@ class ExactComplex:
     def from_rational(cls, value) -> "ExactComplex":
         return cls(Fraction(value))
 
-    def __add__(self, o: "ExactComplex") -> "ExactComplex":
+    def __add__(self, o) -> "ExactComplex":
+        if not isinstance(o, ExactComplex):
+            o = ExactComplex.from_rational(o)
         return ExactComplex(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+
+    __radd__ = __add__
 
     def __sub__(self, o: "ExactComplex") -> "ExactComplex":
         return ExactComplex(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
@@ -67,7 +74,7 @@ class ExactComplex:
             return (self.a, self.b, self.c, self.d) == (o.a, o.b, o.c, o.d)
         return NotImplemented
 
-    def to_complex(self) -> complex:
+    def __complex__(self) -> complex:
         return complex(float(self.a) + float(self.b) * _SQRT2,
                        float(self.c) + float(self.d) * _SQRT2)
 
@@ -75,21 +82,11 @@ class ExactComplex:
         return f"ExactComplex({self.a}, {self.b}, {self.c}, {self.d})"
 
 
-ZERO = ExactComplex()
-ONE = ExactComplex(1)
-
 _I_POWERS = (ExactComplex(1), ExactComplex(0, 0, 1), ExactComplex(-1), ExactComplex(0, 0, -1))
 
 
 def i_power(k: int) -> ExactComplex:
     return _I_POWERS[k % 4]
-
-
-def half_power_of_two(k: int) -> ExactComplex:
-    """2**(-k/2) as an element of Q[sqrt2]."""
-    if k % 2 == 0:
-        return ExactComplex(Fraction(1, 2 ** (k // 2)))
-    return ExactComplex(0, Fraction(1, 2 ** ((k + 1) // 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -128,20 +125,25 @@ def entry_cumulant(dist: str, k: int) -> Fraction:
     """k-th cumulant via Moebius inversion of the moment sequence."""
     if k < 1:
         raise ValueError("cumulant order must be positive")
-    total = Fraction(0)
-    for part in set_partitions(k):
-        prod = Fraction(part.moebius_weight())
-        for block in part.blocks:
-            prod *= entry_moment(dist, len(block))
-        total += prod
-    return total
+    return cumulants_from_moments(lambda block: entry_moment(dist, len(block)), range(k))
 
 
-def sqrt_fraction_or_raise(value: Fraction) -> Fraction:
-    """sqrt of a rational if it is rational, else InexactValue."""
-    num, den = value.numerator, value.denominator
-    rn = math.isqrt(num)
-    rd = math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
+def _rational_sqrt(value: Fraction) -> Fraction | None:
+    rn, rd = math.isqrt(value.numerator), math.isqrt(value.denominator)
+    if rn * rn == value.numerator and rd * rd == value.denominator:
         return Fraction(rn, rd)
-    raise InexactValue(f"sqrt({value}) is irrational")
+    return None
+
+
+def sqrt_fraction_or_raise(value: Fraction) -> Fraction | ExactComplex:
+    """sqrt of a non-negative rational in Q[sqrt2], else InexactValue.
+
+    A rational root comes back as a Fraction; sqrt(v) = sqrt(2v) sqrt2 / 2
+    when 2v is a rational square, so sqrt(1/2) = sqrt2/2."""
+    root = _rational_sqrt(value)
+    if root is not None:
+        return root
+    root = _rational_sqrt(2 * value)
+    if root is not None:
+        return ExactComplex(0, root / 2)
+    raise InexactValue(f"sqrt({value}) is not in Q[sqrt2]")

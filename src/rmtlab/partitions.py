@@ -1,9 +1,10 @@
 """Set-partition calculus linking moments and joint cumulants.
 
 Moments are sums over set partitions of products of block cumulants; the
-inverse direction carries the Moebius weight (-1)^(p-1) (p-1)!.  Everything
-here runs in exact arithmetic so the finite-N trace moments and their
-large-N extrapolations can be checked with zero tolerance.
+inverse direction carries the Moebius weight (-1)^(p-1) (p-1)!.  Both sums
+take a plain block callable and work in whatever arithmetic its values
+bring: exact Fractions for the finite-N trace moments, Q[i, sqrt2] or
+floats for the entry-cumulant oracle, numpy arrays for the jackknife.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def gaussian_cumulant_function(sigma_sq=Fraction(1)) -> CumulantFunction:
     return CumulantFunction(evaluate, "gaussian")
 
 
-def moments_from_cumulants(c: CumulantFunction, pairs: Sequence[tuple], N: int):
+def moments_from_cumulants(c: Callable[[Sequence[tuple]], object], pairs: Sequence[tuple]):
     """Moment of the entry monomial as a partition sum of block cumulants."""
     if len(pairs) > MAX_MOMENT_ENTRIES:
         raise CapacityError(f"moment expansion limited to {MAX_MOMENT_ENTRIES} entries")
@@ -121,7 +122,7 @@ def moments_from_cumulants(c: CumulantFunction, pairs: Sequence[tuple], N: int):
     for part in set_partitions(len(pairs)):
         prod = Fraction(1)
         for block in part.blocks:
-            prod *= c.on_pairs([pairs[i] for i in block], N)
+            prod *= c([pairs[i] for i in block])
             if not prod:
                 break
         total += prod
@@ -154,6 +155,9 @@ def trace_moment_expectation(N: int, k: int, c: CumulantFunction):
     """
     if k > MAX_TRACE_ORDER:
         raise CapacityError(f"trace moments limited to order {MAX_TRACE_ORDER}")
+    def cumulant(block):
+        return c.on_pairs(block, N)
+
     total = Fraction(0)
     for part in set_partitions(k):
         if part.num_blocks > N:
@@ -163,7 +167,7 @@ def trace_moment_expectation(N: int, k: int, c: CumulantFunction):
             for pos in block:
                 index[pos] = label
         pairs = [(index[i], index[(i + 1) % k]) for i in range(k)]
-        total += perm(N, part.num_blocks) * moments_from_cumulants(c, pairs, N)
+        total += perm(N, part.num_blocks) * moments_from_cumulants(cumulant, pairs)
     if k % 2 == 0:
         return total / Fraction(N) ** (k // 2 + 1)
     if total == 0:

@@ -161,6 +161,11 @@ class FlowState:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FlowState":
+        """The certificate's inputs, ``max_edges`` and ``truncation_events``,
+        must be present; a missing ``cone_edges`` means a full flow."""
+        for key in ("max_edges", "truncation_events"):
+            if key not in doc:
+                raise ValueError(f"flow state is missing {key!r}")
         order = doc["order"]
         table = {}
         for label, series in doc["graphs"].items():
@@ -169,8 +174,7 @@ class FlowState:
             table[CumulantGraph.from_text(label)] = coeffs
         return cls(order, doc["basis"], table,
                    [RingElement.from_triples(t) for t in doc["vacuum"]],
-                   doc.get("max_edges", DEFAULT_MAX_EDGES),
-                   {(k, e): n for k, e, n in doc.get("truncation_events", [])},
+                   doc["max_edges"], {(k, e): n for k, e, n in doc["truncation_events"]},
                    doc.get("cone_edges"))
 
     def dumps(self) -> str:

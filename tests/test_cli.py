@@ -126,7 +126,7 @@ def test_moments_metadata_lists_sampler_warnings(tmp_path):
     for command in ("moments", "sample"):
         doc = dict(GUE_DOC, n_grid=[4, 8], samples_per_n=2, moment_orders=[2],
                    ensemble={"kind": "quartic_invariant", "quartic_g": 0.1,
-                             "metropolis": {"steps": 1, "step_size": 30.0, "burn_in": 0}})
+                             "metropolis": {"steps": 1, "step_size": 1e6, "burn_in": 0}})
         cfg = write_config(tmp_path, doc)
         out = tmp_path / command
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0

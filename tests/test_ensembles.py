@@ -51,9 +51,11 @@ def test_factor_dist_must_have_unit_second_moment():
         FactorDistribution(squares=(Fraction(1, 2), Fraction(1)), weights=(Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(ParameterError):
         FactorDistribution(squares=(Fraction(1),), weights=(Fraction(1, 2),))
-    fd = FactorDistribution()
-    assert fd.moment_exact(2) == 1
-    assert fd.moment_exact(4) == Fraction(5, 4)
+    # the default law has E[g^2] = 1 and E[g^4] = 5/4, read through the oracle:
+    # <M_01 M_10> = E[g^2] and the two-2-cycle cumulant is E[g^4] - E[g^2]^2
+    spec = EnsembleSpec("common_factor", factor_dist=FactorDistribution())
+    assert entry_cumulant_oracle(spec, TWO_CYCLE, IDX2) == 1
+    assert entry_cumulant_oracle(spec, TWO_TWO_CYCLES, IDX4) == float(Fraction(5, 4) - 1)
 
 
 def test_spec_json_roundtrip():
@@ -239,6 +241,12 @@ def test_oracle_skewed_third_order_complex_value():
     got = entry_cumulant_oracle(spec, graph, IDX2)
     expect = (math.sqrt(2.0) / 2.0) * (1 + 1j)
     assert got == pytest.approx(expect, abs=1e-14)
+    # common factor, M_00 = g x: kappa_3 = E[g^3] E[x^3] = 2 E[g^3], and E[g^3]
+    # needs sqrt(3/2)^3, outside Q[i, sqrt2], so this value takes the float path
+    spec = EnsembleSpec("common_factor", entry_dist="centered_exponential")
+    loops = CumulantGraph(1, ((0, 0),) * 3)
+    got = entry_cumulant_oracle(spec, loops, {0: 5})
+    assert got == pytest.approx(0.5 ** 1.5 + 1.5 ** 1.5, abs=1e-12)  # 2.1906707...
 
 
 def test_oracle_common_factor_disjoint_two_cycles():
@@ -247,6 +255,26 @@ def test_oracle_common_factor_disjoint_two_cycles():
     trivial = EnsembleSpec("common_factor",
                            factor_dist=FactorDistribution((Fraction(1),), (Fraction(1),)))
     assert entry_cumulant_oracle(trivial, TWO_TWO_CYCLES, IDX4) == 0.0
+    # sigma^4 / 4 rounded once from the exact rational, not built from float powers
+    small = EnsembleSpec("common_factor", sigma=0.1)
+    assert entry_cumulant_oracle(small, TWO_TWO_CYCLES, IDX4) == float(Fraction(0.1) ** 4 / 4)
+
+
+@pytest.mark.parametrize("spec", [
+    EnsembleSpec("gue"), EnsembleSpec("wigner", entry_dist="rademacher"),
+    EnsembleSpec("common_factor"), EnsembleSpec("damped_common_factor", damping_alpha=1.0)],
+    ids=["gue", "rademacher", "common_factor", "damped_alpha1"])
+def test_oracle_is_exact_on_every_class_through_four_edges(spec):
+    from rmtlab.ensembles import _EXACT, _entry_cumulant
+    from rmtlab.exactvalues import ExactComplex
+    from rmtlab.graphs import enumerate_graphs
+    for graph in enumerate_graphs(4):
+        edges = [(3 * s, 3 * t) for s, t in graph.edges]
+        # the exact scalars raise InexactValue rather than leave Q[i, sqrt2]
+        value = _entry_cumulant(spec, edges, 16, _EXACT)
+        assert isinstance(value, (int, Fraction, ExactComplex)), graph
+        indices = {v: 3 * v for v in range(graph.num_vertices)}
+        assert entry_cumulant_oracle(spec, graph, indices, n=16) == complex(value)
 
 
 def test_oracle_common_factor_symbolic_brute_force():
@@ -310,6 +338,11 @@ def test_oracle_damped_matches_analytic_scaling():
         assert got == pytest.approx(4.0 / n, abs=1e-12)
     with pytest.raises(ParameterError):
         entry_cumulant_oracle(spec, TWO_TWO_CYCLES, IDX4)
+    # a non-integer exponent leaves the exact scalars: 4 N^(-alpha) in floats
+    half = EnsembleSpec("damped_common_factor", damping_alpha=0.5)
+    for n in (8, 32, 128):
+        got = entry_cumulant_oracle(half, TWO_TWO_CYCLES, IDX4, n=n)
+        assert got == pytest.approx(4.0 * n ** -0.5, abs=1e-12)
 
 
 def test_oracle_unavailable_cases():

@@ -43,12 +43,17 @@ def wick_pairing_moment(pairs, sigma_sq=Fraction(1)):
     return total
 
 
+def at_n(c, N):
+    """``c`` at size N, as the block callable ``moments_from_cumulants`` takes."""
+    return lambda block: c.on_pairs(block, N)
+
+
 def brute_force_trace_moment(N, k, c):
     """(1/N^(k/2+1)) <Tr M^k> summed over all N^k index tuples."""
     total = Fraction(0)
     for tup in itertools.product(range(N), repeat=k):
         pairs = [(tup[i], tup[(i + 1) % k]) for i in range(k)]
-        total += moments_from_cumulants(c, pairs, N)
+        total += moments_from_cumulants(at_n(c, N), pairs)
     if k % 2 == 0:
         return total / Fraction(N) ** (k // 2 + 1)
     if total == 0:
@@ -102,19 +107,19 @@ def test_set_partitions_capacity():
 
 def test_gaussian_single_pair():
     c = gaussian_cumulant_function()
-    assert moments_from_cumulants(c, [(1, 2), (2, 1)], 4) == 1
-    assert moments_from_cumulants(c, [(1, 2), (1, 2)], 4) == 0
+    assert moments_from_cumulants(at_n(c, 4), [(1, 2), (2, 1)]) == 1
+    assert moments_from_cumulants(at_n(c, 4), [(1, 2), (1, 2)]) == 0
 
 
 def test_gaussian_fourth_moment_two_pairings():
     c = gaussian_cumulant_function()
-    assert moments_from_cumulants(c, [(1, 2), (2, 1), (1, 2), (2, 1)], 4) == 2
+    assert moments_from_cumulants(at_n(c, 4), [(1, 2), (2, 1), (1, 2), (2, 1)]) == 2
 
 
 def test_scalar_isserlis_fourth_moment():
     # all indices equal: diagonal cumulants of a standard Gaussian
     c = gaussian_cumulant_function()
-    assert moments_from_cumulants(c, [(1, 1)] * 4, 4) == 3
+    assert moments_from_cumulants(at_n(c, 4), [(1, 1)] * 4) == 3
 
 
 def test_moments_match_wick_pairing_oracle():
@@ -123,7 +128,7 @@ def test_moments_match_wick_pairing_oracle():
     for _ in range(40):
         k = rng.choice([2, 3, 4, 5, 6])
         pairs = [(rng.randrange(3), rng.randrange(3)) for _ in range(k)]
-        assert moments_from_cumulants(c, pairs, 3) == wick_pairing_moment(pairs)
+        assert moments_from_cumulants(at_n(c, 3), pairs) == wick_pairing_moment(pairs)
 
 
 def test_cumulant_moment_roundtrip_on_random_rational_cumulants():
@@ -141,7 +146,7 @@ def test_cumulant_moment_roundtrip_on_random_rational_cumulants():
     for size in (1, 2, 3, 4):
         for _ in range(8):
             pairs = tuple(rng.choice(pair_pool) for _ in range(size))
-            m = lambda block: moments_from_cumulants(c, block, 2)
+            m = lambda block: moments_from_cumulants(at_n(c, 2), block)
             assert cumulants_from_moments(m, pairs) == c.on_pairs(pairs, 2)
 
 

@@ -409,6 +409,19 @@ def test_light_cone_cannot_widen():
             integrate_flow(state, 4, wider)
 
 
+@pytest.mark.parametrize("key", ["max_edges", "truncation_events"])
+def test_flow_state_json_requires_certificate_inputs(key):
+    # under max_edges 2 the tadpole's t^7 coefficient is not certified; a file
+    # that lost either input must not read back as a certified state
+    state = integrate_flow(initial_potential(SIGMA1, 2), 7, 1)
+    with pytest.raises(CapacityError):
+        extract_resolvent(state, 7)
+    doc = state.to_json()
+    del doc[key]
+    with pytest.raises(ValueError, match=key):
+        FlowState.from_json(doc)
+
+
 def test_cone_flow_state_json_roundtrip():
     spec = SIGMA1.with_perturbation(DOUBLE_EDGE, QUARTIC)
     state = integrate_flow(initial_potential(spec), 7, 1)
