@@ -8,7 +8,6 @@ diagonal variance sigma^2 by default (configurable).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ import numpy as np
 from . import exactvalues as ev
 from .exactvalues import ENTRY_DISTS, InexactValue
 from .graphs import CumulantGraph
-from .linalg import HermitianMatrix, RngHandle, standard_complex_normals
+from .linalg import HermitianMatrix, RngHandle, standard_complex_normals, triangle_indices
 from .partitions import cumulants_from_moments, moments_from_cumulants
 
 KINDS = ("gue", "wigner", "common_factor", "damped_common_factor", "quartic_invariant")
@@ -189,16 +188,9 @@ def _draw_entries(rng: RngHandle, dist: str, size: int) -> np.ndarray:
     raise ParameterError(f"unknown entry_dist {dist!r}")
 
 
-@functools.lru_cache(maxsize=8)
-def _strict_upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    iu = np.triu_indices(n, k=1)
-    for idx in iu:
-        idx.flags.writeable = False
-    return iu
-
-
-def _wigner_matrix(spec: EnsembleSpec, n: int, rng: RngHandle) -> np.ndarray:
-    """Upper-triangle draw: off-diagonal x-then-y arrays, then the diagonal.
+def _wigner_matrix(spec: EnsembleSpec, n: int, rng: RngHandle, factor: float = 1.0) -> np.ndarray:
+    """Upper-triangle draw: off-diagonal x-then-y arrays, then the diagonal,
+    scaled and then multiplied by ``factor``; zero below the diagonal.
 
     GUE draws use Gaussian entries whatever ``spec.entry_dist`` says."""
     dist = "gaussian" if spec.kind == "gue" else spec.entry_dist
@@ -206,10 +198,17 @@ def _wigner_matrix(spec: EnsembleSpec, n: int, rng: RngHandle) -> np.ndarray:
     scale = spec.sigma / math.sqrt(2.0)
     x = _draw_entries(rng, dist, m)
     y = _draw_entries(rng, dist, m)
-    diag = _draw_entries(rng, dist, n) * math.sqrt(spec.diag_variance)
+    diag = _draw_entries(rng, dist, n)
+    for values, s in ((x, scale), (y, scale), (diag, math.sqrt(spec.diag_variance))):
+        values *= s
+        if factor != 1.0:
+            values *= factor
     upper = np.zeros((n, n), dtype=complex)
-    upper[_strict_upper_indices(n)] = (x + 1j * y) * scale
-    upper[np.diag_indices(n)] = diag
+    flat = upper.reshape(-1)
+    iu, _, idiag = triangle_indices(n)
+    flat.real[iu] = x
+    flat.imag[iu] = y
+    flat.real[idiag] = diag
     return upper
 
 
@@ -218,8 +217,7 @@ def sample(spec: EnsembleSpec, n: int, rng: RngHandle) -> HermitianMatrix:
     if n < 1:
         raise ParameterError("matrix size must be positive")
     if spec.kind in ("gue", "wigner"):
-        upper = _wigner_matrix(spec, n, rng)
-        return HermitianMatrix.from_upper(upper, {"kind": spec.kind})
+        return HermitianMatrix.from_upper(_wigner_matrix(spec, n, rng), {"kind": spec.kind})
     if spec.kind in ("common_factor", "damped_common_factor"):
         if spec.kind == "common_factor":
             values = spec.factor_dist.values()
@@ -228,8 +226,8 @@ def sample(spec: EnsembleSpec, n: int, rng: RngHandle) -> HermitianMatrix:
         else:
             xi = -1.0 if rng.uniform() < 0.5 else 1.0
             g = 1.0 + xi * float(n) ** (-spec.damping_alpha / 2.0)
-        upper = _wigner_matrix(spec, n, rng) * g
-        return HermitianMatrix.from_upper(upper, {"kind": spec.kind, "factor": g})
+        return HermitianMatrix.from_upper(_wigner_matrix(spec, n, rng, g),
+                                          {"kind": spec.kind, "factor": g})
     if spec.kind == "quartic_invariant":
         return next(sample_stream(spec, n, 1, rng))
     raise ParameterError(f"unknown ensemble kind {spec.kind!r}")
@@ -395,10 +393,14 @@ class _Scalars(NamedTuple):
     i_power: Callable        # k -> i^k
 
 
-def _exact_inverse_power(n: int, alpha: float) -> Fraction:
-    if not float(alpha).is_integer():
-        raise InexactValue("non-integer damping exponent")
-    return Fraction(1, n ** int(alpha))
+def _exact_inverse_power(n: int, alpha: float):
+    """n^(-alpha) for integer alpha, and n^(-floor(alpha)) sqrt(1/n) for
+    half-integer alpha when that root lies in Q[sqrt2]."""
+    twice = 2.0 * alpha
+    if not twice.is_integer():
+        raise InexactValue("damping exponent is not a multiple of 1/2")
+    power = Fraction(1, n ** int(alpha))
+    return power * ev.sqrt_fraction_or_raise(Fraction(1, n)) if int(twice) % 2 else power
 
 
 _EXACT = _Scalars(ev.sqrt_fraction_or_raise, _exact_inverse_power, ev.i_power)

@@ -66,6 +66,15 @@ class ExactComplex:
 
     __rmul__ = __mul__
 
+    def __pow__(self, k: int) -> "ExactComplex":
+        """Non-negative integer power, by repeated multiplication."""
+        if k < 0:
+            raise ValueError("ExactComplex powers must be non-negative")
+        result = ExactComplex(1)
+        for _ in range(k):
+            result = result * self
+        return result
+
     def __bool__(self) -> bool:
         return bool(self.a or self.b or self.c or self.d)
 

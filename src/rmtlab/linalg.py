@@ -9,6 +9,7 @@ independently derived streams decorrelated.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -81,6 +82,24 @@ def standard_complex_normals(rng: RngHandle, size, stddev: float = 1.0) -> np.nd
     return (re + 1j * im) * (stddev / np.sqrt(2.0))
 
 
+@functools.lru_cache(maxsize=8)
+def triangle_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat positions in a C-ordered n x n array: the strict upper triangle in
+    ``np.triu_indices(n, k=1)`` order, the mirror of each, and the diagonal.
+
+    Cached and read-only; every sampled matrix is assembled through these."""
+    rows, cols = np.triu_indices(n, k=1)
+    upper, lower, diag = rows * n + cols, cols * n + rows, np.arange(0, n * n, n + 1)
+    for idx in (upper, lower, diag):
+        idx.flags.writeable = False
+    return upper, lower, diag
+
+
+def _check_size(n: int):
+    if n < 1 or n > MAX_MATRIX_SIZE:
+        raise ValueError(f"matrix size must be in [1, {MAX_MATRIX_SIZE}]")
+
+
 @dataclass(frozen=True)
 class HermitianMatrix:
     """Dense N x N complex Hermitian matrix with sampling provenance."""
@@ -90,18 +109,29 @@ class HermitianMatrix:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if self.n < 1 or self.n > MAX_MATRIX_SIZE:
-            raise ValueError(f"matrix size must be in [1, {MAX_MATRIX_SIZE}]")
+        _check_size(self.n)
         if self.data.shape != (self.n, self.n):
             raise ValueError("data shape does not match n")
 
     @classmethod
     def from_upper(cls, upper: np.ndarray, meta: dict | None = None) -> "HermitianMatrix":
-        """Build from the upper triangle; enforces conjugate symmetry exactly."""
+        """Build from a square array's strict upper triangle and the real part
+        of its diagonal; the rest is ignored and ``upper`` is left unchanged.
+
+        The values, their conjugates and the diagonal are written once into a
+        fresh read-only complex array, so conjugate symmetry holds exactly."""
+        upper = np.asarray(upper)
+        if upper.ndim != 2 or upper.shape[0] != upper.shape[1]:
+            raise ValueError("expected a square matrix")
         n = upper.shape[0]
-        arr = np.triu(upper, k=1)
-        full = arr + arr.conj().T
-        full[np.diag_indices(n)] = np.real(np.diagonal(upper))
+        _check_size(n)
+        iu, il, diag = triangle_indices(n)
+        full = np.empty((n, n), dtype=complex)
+        flat = full.reshape(-1)
+        values = upper.take(iu)
+        flat[iu] = values
+        flat[il] = np.conjugate(values, out=values)
+        flat[diag] = upper.take(diag).real
         full.flags.writeable = False
         return cls(n, full, meta or {})
 

@@ -161,6 +161,54 @@ def test_damped_factor_value():
     assert m.meta["factor"] in {1.0 + 0.25, 1.0 - 0.25}
 
 
+
+def parent_sample(spec: EnsembleSpec, n: int, rng: RngHandle) -> np.ndarray:
+    """The earlier sampler, kept as a reference: a zero-filled upper triangle
+    from complex-scaled draws, the common factor applied to the whole matrix,
+    then np.triu plus its conjugate transpose and the real diagonal."""
+    from rmtlab.ensembles import _draw_entries
+    g = None
+    if spec.kind == "common_factor":
+        weights = [float(w) for w in spec.factor_dist.weights]
+        g = float(spec.factor_dist.values()[rng.choice_index(weights)])
+    elif spec.kind == "damped_common_factor":
+        xi = -1.0 if rng.uniform() < 0.5 else 1.0
+        g = 1.0 + xi * float(n) ** (-spec.damping_alpha / 2.0)
+    dist = "gaussian" if spec.kind == "gue" else spec.entry_dist
+    m = n * (n - 1) // 2
+    x = _draw_entries(rng, dist, m)
+    y = _draw_entries(rng, dist, m)
+    diag = _draw_entries(rng, dist, n) * math.sqrt(spec.diag_variance)
+    upper = np.zeros((n, n), dtype=complex)
+    upper[np.triu_indices(n, k=1)] = (x + 1j * y) * (spec.sigma / math.sqrt(2.0))
+    upper[np.diag_indices(n)] = diag
+    if g is not None:
+        upper = upper * g
+    arr = np.triu(upper, k=1)
+    full = arr + arr.conj().T
+    full[np.diag_indices(n)] = np.real(np.diagonal(upper))
+    return full
+
+
+@pytest.mark.parametrize("n", [1, 2, 33, 128])
+@pytest.mark.parametrize("spec", [
+    EnsembleSpec("gue"), EnsembleSpec("gue", sigma=0.7),
+    *(EnsembleSpec("wigner", entry_dist=d)
+      for d in ("gaussian", "rademacher", "uniform", "centered_exponential")),
+    EnsembleSpec("common_factor"),
+    EnsembleSpec("damped_common_factor", damping_alpha=1.0),
+    EnsembleSpec("damped_common_factor", damping_alpha=0.5),
+    EnsembleSpec("wigner", entry_dist="uniform", diagonal_variance=0.25),
+    EnsembleSpec("common_factor", diagonal_variance=0.0)],
+    ids=["gue", "gue_sigma0.7", "gaussian", "rademacher", "uniform", "centered_exponential",
+         "common_factor", "damped_alpha1", "damped_alpha0.5", "diag_var0.25",
+         "common_factor_diag_var0"])
+def test_sample_bytes_match_parent_assembly(spec, n):
+    for s in range(3):
+        got = sample(spec, n, RngHandle(53, s))
+        assert got.data.tobytes() == parent_sample(spec, n, RngHandle(53, s)).tobytes()
+
+
 def test_quartic_g0_matches_gue_second_moments():
     spec = EnsembleSpec("quartic_invariant", quartic_g=0.0,
                         metropolis=MetropolisParams(steps=4, step_size=1.0, burn_in=40))
@@ -338,11 +386,53 @@ def test_oracle_damped_matches_analytic_scaling():
         assert got == pytest.approx(4.0 / n, abs=1e-12)
     with pytest.raises(ParameterError):
         entry_cumulant_oracle(spec, TWO_TWO_CYCLES, IDX4)
-    # a non-integer exponent leaves the exact scalars: 4 N^(-alpha) in floats
+    # a half-integer exponent: 4 N^(-1/2), exact in Q[sqrt2] at these N
     half = EnsembleSpec("damped_common_factor", damping_alpha=0.5)
     for n in (8, 32, 128):
         got = entry_cumulant_oracle(half, TWO_TWO_CYCLES, IDX4, n=n)
         assert got == pytest.approx(4.0 * n ** -0.5, abs=1e-12)
+
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_oracle_half_integer_damping_is_exact(n):
+    from rmtlab.ensembles import _EXACT, _FLOAT, _entry_cumulant
+    from rmtlab.exactvalues import ExactComplex
+    from rmtlab.graphs import enumerate_graphs
+    spec = EnsembleSpec("damped_common_factor", damping_alpha=0.5)
+    for graph in enumerate_graphs(4):
+        edges = [(3 * s, 3 * t) for s, t in graph.edges]
+        # the exact scalars raise InexactValue rather than leave Q[i, sqrt2]
+        value = _entry_cumulant(spec, edges, n, _EXACT)
+        assert isinstance(value, (int, Fraction, ExactComplex)), graph
+        assert abs(complex(value) - complex(_entry_cumulant(spec, edges, n, _FLOAT))) <= 1e-15
+
+
+
+def test_exact_powers_of_half_integer_damping():
+    from rmtlab.ensembles import _exact_inverse_power
+    from rmtlab.exactvalues import ExactComplex
+    # h^2 = 8^(-1/2) = sqrt2/4, and (sqrt2/4)^2 = 1/8, (sqrt2/4)^3 = sqrt2/32
+    h2 = _exact_inverse_power(8, 0.5)
+    assert h2 == ExactComplex(0, Fraction(1, 4))
+    assert h2 ** 0 == ExactComplex(1)
+    assert h2 ** 2 == ExactComplex(Fraction(1, 8))
+    assert h2 ** 3 == ExactComplex(0, Fraction(1, 32))
+    assert _exact_inverse_power(16, 0.5) == Fraction(1, 4)
+    assert _exact_inverse_power(16, 1.5) == Fraction(1, 64)
+    assert _exact_inverse_power(5, 2.0) == Fraction(1, 25)
+    with pytest.raises(ValueError):
+        h2 ** -1
+
+
+def test_oracle_third_damping_falls_back_to_floats():
+    from rmtlab.ensembles import _EXACT, _entry_cumulant
+    from rmtlab.exactvalues import InexactValue
+    spec = EnsembleSpec("damped_common_factor", damping_alpha=1 / 3)
+    with pytest.raises(InexactValue):
+        _entry_cumulant(spec, list(TWO_TWO_CYCLES.edges), 8, _EXACT)
+    got = entry_cumulant_oracle(spec, TWO_TWO_CYCLES, IDX4, n=8)
+    assert got == pytest.approx(4.0 * 8 ** (-1 / 3), abs=1e-12)
 
 
 def test_oracle_unavailable_cases():

@@ -94,6 +94,55 @@ def test_hermitian_invariants_enforced():
     assert np.all(np.imag(np.diag(h.data)) == 0)
 
 
+
+def parent_assembly(upper: np.ndarray) -> np.ndarray:
+    """The earlier from_upper: triu copy, add its conjugate transpose, real diagonal."""
+    arr = np.triu(upper, k=1)
+    full = arr + arr.conj().T
+    full[np.diag_indices(upper.shape[0])] = np.real(np.diagonal(upper))
+    return full
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 2), (2, 2, 2), ()])
+def test_from_upper_rejects_non_square(shape):
+    with pytest.raises(ValueError):
+        HermitianMatrix.from_upper(np.zeros(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 33])
+def test_from_upper_reads_strict_upper_and_real_diagonal(n):
+    upper = standard_complex_normals(RngHandle(41, n), (n, n))
+    before = upper.copy()
+    h = HermitianMatrix.from_upper(upper)
+    assert np.array_equal(upper, before)
+    assert not h.data.flags.writeable
+    assert h.data.dtype == complex
+    assert h.data.tobytes() == parent_assembly(upper).tobytes()
+    # what lies below the diagonal does not count
+    scrambled = upper.copy()
+    scrambled[np.tril_indices(n, k=-1)] = 7.0 - 3.0j
+    assert HermitianMatrix.from_upper(scrambled).data.tobytes() == h.data.tobytes()
+
+
+def test_from_upper_real_and_non_contiguous_input():
+    rng = RngHandle(43, 0)
+    real = rng.normals((6, 6))
+    before = real.copy()
+    h = HermitianMatrix.from_upper(real)
+    assert np.array_equal(real, before)
+    assert not h.data.flags.writeable
+    assert np.array_equal(h.data, parent_assembly(real))
+    # a transposed view and a strided slice are read in logical, not memory, order
+    base = standard_complex_normals(rng, (12, 12))
+    base_before = base.copy()
+    for view in (base.T, base[::2, ::2], base[1:7, 2:8]):
+        assert not view.flags.c_contiguous
+        h = HermitianMatrix.from_upper(view)
+        assert not h.data.flags.writeable
+        assert h.data.tobytes() == parent_assembly(view).tobytes()
+    assert np.array_equal(base, base_before)
+
+
 def test_trace_identities():
     rng = RngHandle(23, 0)
     for n in (4, 16, 64):

@@ -3,9 +3,12 @@
 import types
 from pathlib import Path
 
-from rmtlab import spectral
+import pytest
+
+from rmtlab import cumulant_scan, spectral
 from rmtlab.ensembles import EnsembleSpec, MetropolisParams
-from rmtlab.linalg import RngHandle
+from rmtlab.graphs import CumulantGraph
+from rmtlab.linalg import HermitianMatrix, RngHandle
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -49,3 +52,21 @@ def test_tracer_counts_quartic_sweeps_and_acceptance():
     assert counts["ensembles.QuarticChain.acceptance_n"] == count
     assert 0.0 <= counts["ensembles.QuarticChain.acceptance_sum"] <= count
     assert summary["spans"]["ensembles.QuarticChain.run_sweeps"][0] == 1 + count
+
+
+@pytest.mark.parametrize("kind", ["gue", "common_factor", "damped_common_factor"])
+def test_tracer_counts_one_assembly_per_sampled_matrix(kind):
+    n_grid, samples = (4, 5, 6), 4
+    graph = CumulantGraph(4, ((0, 1), (1, 0), (2, 3), (3, 2)))
+    tracer = load_tracer().Tracer()
+    original = HermitianMatrix.__dict__["from_upper"]
+    tracer.install()
+    try:
+        cumulant_scan.scan_graph(EnsembleSpec(kind), graph, n_grid, samples, RngHandle(9, 0))
+    finally:
+        tracer.uninstall()
+    assert HermitianMatrix.__dict__["from_upper"] is original
+    summary = tracer.summary()
+    matrices = len(n_grid) * samples
+    assert summary["counts"]["linalg.HermitianMatrix.from_upper"] == matrices
+    assert summary["spans"]["ensembles.sample"][0] == matrices
