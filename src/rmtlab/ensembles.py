@@ -395,10 +395,21 @@ class _Scalars(NamedTuple):
 
 def _exact_inverse_power(n: int, alpha: float):
     """n^(-alpha) for integer alpha, and n^(-floor(alpha)) sqrt(1/n) for
-    half-integer alpha when that root lies in Q[sqrt2]."""
+    half-integer alpha when that root lies in Q[sqrt2].
+
+    Below ulp(0)^2 = 2^-2148, the square of the smallest positive float,
+    the exact value is refused (InexactValue), so the exact integers here
+    stay under 2149 bits whatever alpha is.  The float path then has
+    h^2 = 0.0, and the h^2 terms it drops (small integers times at most the
+    fourth power of a variance, far below 2^1073 while that power is a
+    float) lie under half the smallest subnormal: its result differs from
+    the exact one only by its own rounding, as on any float retry.
+    """
     twice = 2.0 * alpha
     if not twice.is_integer():
         raise InexactValue("damping exponent is not a multiple of 1/2")
+    if alpha * math.log2(n) > -2 * math.log2(math.ulp(0.0)):
+        raise InexactValue("n^(-alpha) is below the square of the smallest float")
     power = Fraction(1, n ** int(alpha))
     return power * ev.sqrt_fraction_or_raise(Fraction(1, n)) if int(twice) % 2 else power
 

@@ -115,18 +115,47 @@ def gaussian_cumulant_function(sigma_sq=Fraction(1)) -> CumulantFunction:
 
 
 def moments_from_cumulants(c: Callable[[Sequence[tuple]], object], pairs: Sequence[tuple]):
-    """Moment of the entry monomial as a partition sum of block cumulants."""
-    if len(pairs) > MAX_MOMENT_ENTRIES:
+    """Moment of the entry monomial as a partition sum of block cumulants.
+
+    Summed by the block B that holds the first remaining entry:
+    m(S) = sum of c(B) m(S - B) over the blocks B in S with min S in B, and
+    m of the empty set is 1.  The subsets S are bitmasks over the entries
+    and m is memoised per subset within the call.  A block with c(B) = 0
+    cuts its branch at once, so only partitions whose every block has a
+    non-zero cumulant contribute work.  ``c`` gets each block as a tuple of
+    pairs in ascending entry order, as the blocks of ``set_partitions`` list
+    them, and may see one block more than once; a costly ``c`` is memoised
+    by its caller, as ``trace_moment_expectation`` does.
+    """
+    k = len(pairs)
+    if k > MAX_MOMENT_ENTRIES:
         raise CapacityError(f"moment expansion limited to {MAX_MOMENT_ENTRIES} entries")
-    total = Fraction(0)
-    for part in set_partitions(len(pairs)):
-        prod = Fraction(1)
-        for block in part.blocks:
-            prod *= c([pairs[i] for i in block])
-            if not prod:
+    if k < 1:
+        raise ValueError("ground set must be non-empty")
+    memo = {0: Fraction(1)}
+
+    # an inner function, so a tracer that wraps the module-level name sees one call
+    def moment(mask: int):
+        if mask in memo:
+            return memo[mask]
+        first = mask & -mask
+        rest = mask ^ first
+        total = Fraction(0)
+        sub = rest
+        while True:
+            block = first | sub
+            kappa = c(tuple(pairs[i] for i in range(k) if block >> i & 1))
+            if kappa:
+                tail = moment(mask ^ block)
+                if tail:
+                    total += kappa * tail
+            if not sub:
                 break
-        total += prod
-    return total
+            sub = (sub - 1) & rest
+        memo[mask] = total
+        return total
+
+    return moment((1 << k) - 1)
 
 
 def cumulants_from_moments(m: Callable[[Sequence[tuple]], object], pairs: Sequence[tuple]):
@@ -150,11 +179,17 @@ def trace_moment_expectation(N: int, k: int, c: CumulantFunction):
     positions.  A class holds (N)_|pi| = N (N-1) ... (N-|pi|+1) tuples, and
     because ``c`` is invariant under relabelling the indices (see
     ``CumulantFunction``) every tuple in it has the moment of one
-    representative.  So the cost is at most Bell(k)^2 block products,
-    whatever N is.
+    representative.  So the work is one ``moments_from_cumulants`` call per
+    pattern with at most N labels, whatever N is; each call visits only the
+    partitions whose blocks all have non-zero cumulants, and a block
+    recurring across patterns is evaluated once per call of this function.
     """
+    if N < 1:
+        raise ValueError("matrix size N must be at least 1")
     if k > MAX_TRACE_ORDER:
         raise CapacityError(f"trace moments limited to order {MAX_TRACE_ORDER}")
+
+    @functools.cache
     def cumulant(block):
         return c.on_pairs(block, N)
 

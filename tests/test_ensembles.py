@@ -435,6 +435,33 @@ def test_oracle_third_damping_falls_back_to_floats():
     assert got == pytest.approx(4.0 * 8 ** (-1 / 3), abs=1e-12)
 
 
+def test_oracle_huge_damping_exponent_takes_the_float_path():
+    # 8^(-1e6) as an exact Fraction once took over a minute to return 0j
+    from rmtlab.ensembles import _EXACT, _FLOAT, _entry_cumulant
+    from rmtlab.exactvalues import InexactValue
+    spec = EnsembleSpec("damped_common_factor", damping_alpha=1e6)
+    edges = list(TWO_TWO_CYCLES.edges)
+    with pytest.raises(InexactValue):
+        _entry_cumulant(spec, edges, 8, _EXACT)
+    got = entry_cumulant_oracle(spec, TWO_TWO_CYCLES, IDX4, n=8)
+    assert got == complex(_entry_cumulant(spec, edges, 8, _FLOAT)) == 0j
+
+
+def test_exact_inverse_power_cut_lies_at_the_square_of_the_smallest_float():
+    from rmtlab.ensembles import _exact_inverse_power
+    from rmtlab.exactvalues import InexactValue
+    # every exponent the tests use stays exact at every size they use
+    for n in (1, 2, 8, 16, 32, 128):
+        assert complex(_exact_inverse_power(n, 0.5)) == pytest.approx(n ** -0.5, rel=1e-15)
+    for n in (1, 2, 8, 16, 32, 33, 128, 1000):
+        assert _exact_inverse_power(n, 1.0) == Fraction(1, n)
+    assert _exact_inverse_power(2, 2148.0) == Fraction(1, 2 ** 2148)
+    with pytest.raises(InexactValue):
+        _exact_inverse_power(2, 2149.0)
+    with pytest.raises(InexactValue):
+        _exact_inverse_power(8, 1e6)
+
+
 def test_oracle_unavailable_cases():
     spec = EnsembleSpec("quartic_invariant", quartic_g=0.1)
     assert entry_cumulant_oracle(spec, TWO_CYCLE, IDX2) is None

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from rmtlab.exactvalues import ExactComplex
 from rmtlab.graphs import CapacityError, is_eulerian
-from rmtlab.partitions import (CumulantFunction, ExtrapolationResult, SetPartition, catalan,
-                               cumulants_from_moments, extrapolate_limit,
+from rmtlab.partitions import (MAX_MOMENT_ENTRIES, CumulantFunction, ExtrapolationResult,
+                               SetPartition, catalan, cumulants_from_moments, extrapolate_limit,
                                gaussian_cumulant_function, moments_from_cumulants,
                                set_partitions, trace_moment_expectation)
 
@@ -46,6 +47,19 @@ def wick_pairing_moment(pairs, sigma_sq=Fraction(1)):
 def at_n(c, N):
     """``c`` at size N, as the block callable ``moments_from_cumulants`` takes."""
     return lambda block: c.on_pairs(block, N)
+
+
+def bell_sum_moment(c, pairs):
+    """The moment as a plain sum over all Bell(k) partitions of block-cumulant products."""
+    total = Fraction(0)
+    for part in set_partitions(len(pairs)):
+        prod = Fraction(1)
+        for block in part.blocks:
+            prod *= c([pairs[i] for i in block])
+            if not prod:
+                break
+        total += prod
+    return total
 
 
 def brute_force_trace_moment(N, k, c):
@@ -131,6 +145,69 @@ def test_moments_match_wick_pairing_oracle():
         assert moments_from_cumulants(at_n(c, 3), pairs) == wick_pairing_moment(pairs)
 
 
+def random_block_values(rng, draw):
+    """A block callable with one value per block, drawn on first use; a third are zero."""
+    table = {}
+
+    def c(block):
+        key = tuple(block)
+        if key not in table:
+            table[key] = draw() if rng.random() < 2 / 3 else 0
+        return table[key]
+
+    return c
+
+
+def as_exact(value):
+    return value if isinstance(value, ExactComplex) else ExactComplex.from_rational(value)
+
+
+@pytest.mark.parametrize("kind", ["fraction", "gaussian", "exact_complex"])
+def test_moments_from_cumulants_equals_bell_partition_sum(kind):
+    rng = random.Random(31)
+    gauss = gaussian_cumulant_function(Fraction(3, 2))
+
+    def fraction():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+
+    def exact_complex():
+        return ExactComplex(*(fraction() for _ in range(4)))
+
+    nonzero = 0
+    for k in range(1, MAX_MOMENT_ENTRIES + 1):
+        for _ in range(4):
+            index = [rng.randrange(2) for _ in range(k)]
+            pairs = [(index[i], index[(i + 1) % k]) for i in range(k)]
+            if kind == "gaussian":
+                c = at_n(gauss, 3)
+            else:
+                c = random_block_values(rng, fraction if kind == "fraction" else exact_complex)
+            got, want = moments_from_cumulants(c, pairs), bell_sum_moment(c, pairs)
+            assert as_exact(got) == as_exact(want), (k, pairs)
+            nonzero += bool(want)
+    assert nonzero >= 10
+
+
+def test_moments_from_cumulants_blocks_are_ascending_and_inputs_checked():
+    seen = []
+
+    def c(block):
+        seen.append(block)
+        return Fraction(1)
+
+    pairs = [(i, i + 1) for i in range(6)]
+    # with every cumulant 1 the moment counts the partitions
+    assert moments_from_cumulants(c, pairs) == BELL[6]
+    # every block that holds the first entry of some remaining set: all 63
+    assert len(set(seen)) == 2 ** 6 - 1
+    positions = {p: i for i, p in enumerate(pairs)}
+    assert all(list(b) == sorted(b, key=positions.get) for b in seen)
+    with pytest.raises(ValueError):
+        moments_from_cumulants(c, [])
+    with pytest.raises(CapacityError):
+        moments_from_cumulants(c, [(0, 1)] * (MAX_MOMENT_ENTRIES + 1))
+
+
 def test_cumulant_moment_roundtrip_on_random_rational_cumulants():
     rng = random.Random(5)
     pair_pool = [(0, 1), (1, 0), (0, 0), (1, 1)]
@@ -180,6 +257,12 @@ def test_trace_moment_odd_vanishes():
     c = gaussian_cumulant_function()
     assert trace_moment_expectation(3, 3, c) == 0
     assert trace_moment_expectation(2, 5, c) == 0
+
+
+@pytest.mark.parametrize("n, k", [(0, 2), (0, 3), (-1, 2)])
+def test_trace_moment_rejects_empty_matrices(n, k):
+    with pytest.raises(ValueError, match="N must be at least 1"):
+        trace_moment_expectation(n, k, gaussian_cumulant_function())
 
 
 def test_trace_moment_capacity():

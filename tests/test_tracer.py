@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from rmtlab import cumulant_scan, spectral
+from rmtlab import cumulant_scan, partitions, spectral
 from rmtlab.ensembles import EnsembleSpec, MetropolisParams
 from rmtlab.graphs import CumulantGraph
 from rmtlab.linalg import HermitianMatrix, RngHandle
@@ -70,3 +70,17 @@ def test_tracer_counts_one_assembly_per_sampled_matrix(kind):
     matrices = len(n_grid) * samples
     assert summary["counts"]["linalg.HermitianMatrix.from_upper"] == matrices
     assert summary["spans"]["ensembles.sample"][0] == matrices
+
+
+def test_tracer_counts_one_partition_sum_per_index_pattern():
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        partitions.trace_moment_expectation(3, 6, partitions.gaussian_cumulant_function())
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    # the patterns are the 1 + 31 + 90 partitions of 6 positions into at most 3 blocks;
+    # the partition sums recurse internally, without enumerating partitions again
+    assert summary["spans"]["partitions.moments_from_cumulants"][0] == 122
+    assert summary["counts"]["partitions.set_partitions"] == 1
