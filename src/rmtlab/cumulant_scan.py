@@ -1,7 +1,8 @@
 """Empirical joint cumulants of matrix entries across an N grid.
 
 For a cumulant graph the estimator reads one entry per edge at disjoint
-index tuples, averages the subset products per sample, inverts sample
+index tuples, straight from each sample's draws (``entry_stream``, no
+N x N assembly), averages the subset products per sample, inverts sample
 moments into a cumulant (k-statistics via the partition Moebius formula)
 and attaches a delete-one jackknife standard error.
 """
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, sample_stream
+from .ensembles import EnsembleSpec, entry_stream
 from .graphs import BoundVerdict, CumulantGraph, classify_bound
 from .linalg import RngHandle
 from .partitions import cumulants_from_moments
@@ -64,8 +65,8 @@ def estimate_entry_cumulant(spec: EnsembleSpec, graph: CumulantGraph, n: int,
     targets = np.array([t for _, t in graph.edges])[:, None] + offsets
     entries = np.ones((e + 1, tuples), dtype=complex)
     per_sample = np.empty((len(row_of), samples), dtype=complex)
-    for s_idx, matrix in enumerate(sample_stream(spec, n, samples, rng)):
-        entries[:e] = matrix.data[sources, targets]
+    for s_idx, values in enumerate(entry_stream(spec, n, samples, rng, sources, targets)):
+        entries[:e] = values
         gathered = entries[factors]
         prod = gathered[:, 0]
         for j in range(1, e):

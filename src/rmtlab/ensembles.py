@@ -19,7 +19,8 @@ import numpy as np
 from . import exactvalues as ev
 from .exactvalues import ENTRY_DISTS, InexactValue
 from .graphs import CumulantGraph
-from .linalg import HermitianMatrix, RngHandle, standard_complex_normals, triangle_indices
+from .linalg import (MAX_MATRIX_SIZE, HermitianMatrix, RngHandle, standard_complex_normals,
+                     triangle_indices)
 from .partitions import cumulants_from_moments, moments_from_cumulants
 
 KINDS = ("gue", "wigner", "common_factor", "damped_common_factor", "quartic_invariant")
@@ -188,9 +189,11 @@ def _draw_entries(rng: RngHandle, dist: str, size: int) -> np.ndarray:
     raise ParameterError(f"unknown entry_dist {dist!r}")
 
 
-def _wigner_matrix(spec: EnsembleSpec, n: int, rng: RngHandle, factor: float = 1.0) -> np.ndarray:
-    """Upper-triangle draw: off-diagonal x-then-y arrays, then the diagonal,
-    scaled and then multiplied by ``factor``; zero below the diagonal.
+def _draw_triangle(spec: EnsembleSpec, n: int, rng: RngHandle,
+                   factor: float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scaled draws of one matrix: the real and imaginary parts of the
+    strict upper triangle, in ``np.triu_indices(n, k=1)`` order, then the
+    diagonal; each scaled and then multiplied by ``factor``.
 
     GUE draws use Gaussian entries whatever ``spec.entry_dist`` says."""
     dist = "gaussian" if spec.kind == "gue" else spec.entry_dist
@@ -203,6 +206,26 @@ def _wigner_matrix(spec: EnsembleSpec, n: int, rng: RngHandle, factor: float = 1
         values *= s
         if factor != 1.0:
             values *= factor
+    return x, y, diag
+
+
+def _draw_factor(spec: EnsembleSpec, n: int, rng: RngHandle) -> float | None:
+    """The scalar factor g of a common-factor kind, drawn before the entries;
+    None, with no draw, for the independent-entry kinds."""
+    if spec.kind == "common_factor":
+        values = spec.factor_dist.values()
+        weights = [float(w) for w in spec.factor_dist.weights]
+        return float(values[rng.choice_index(weights)])
+    if spec.kind == "damped_common_factor":
+        xi = -1.0 if rng.uniform() < 0.5 else 1.0
+        return 1.0 + xi * float(n) ** (-spec.damping_alpha / 2.0)
+    return None
+
+
+def _wigner_matrix(spec: EnsembleSpec, n: int, rng: RngHandle, factor: float = 1.0) -> np.ndarray:
+    """``_draw_triangle``'s draws in the upper triangle and on the diagonal
+    of an n x n complex array; zero below the diagonal."""
+    x, y, diag = _draw_triangle(spec, n, rng, factor)
     upper = np.zeros((n, n), dtype=complex)
     flat = upper.reshape(-1)
     iu, _, idiag = triangle_indices(n)
@@ -212,25 +235,21 @@ def _wigner_matrix(spec: EnsembleSpec, n: int, rng: RngHandle, factor: float = 1
     return upper
 
 
-def sample(spec: EnsembleSpec, n: int, rng: RngHandle) -> HermitianMatrix:
-    """One matrix from the ensemble; pure in (spec, n, rng)."""
+def _check_matrix_size(n: int):
     if n < 1:
         raise ParameterError("matrix size must be positive")
-    if spec.kind in ("gue", "wigner"):
-        return HermitianMatrix.from_upper(_wigner_matrix(spec, n, rng), {"kind": spec.kind})
-    if spec.kind in ("common_factor", "damped_common_factor"):
-        if spec.kind == "common_factor":
-            values = spec.factor_dist.values()
-            weights = [float(w) for w in spec.factor_dist.weights]
-            g = float(values[rng.choice_index(weights)])
-        else:
-            xi = -1.0 if rng.uniform() < 0.5 else 1.0
-            g = 1.0 + xi * float(n) ** (-spec.damping_alpha / 2.0)
-        return HermitianMatrix.from_upper(_wigner_matrix(spec, n, rng, g),
-                                          {"kind": spec.kind, "factor": g})
+    if n > MAX_MATRIX_SIZE:
+        raise ParameterError(f"matrix size must be in [1, {MAX_MATRIX_SIZE}]")
+
+
+def sample(spec: EnsembleSpec, n: int, rng: RngHandle) -> HermitianMatrix:
+    """One matrix from the ensemble; pure in (spec, n, rng)."""
+    _check_matrix_size(n)
     if spec.kind == "quartic_invariant":
         return next(sample_stream(spec, n, 1, rng))
-    raise ParameterError(f"unknown ensemble kind {spec.kind!r}")
+    g = _draw_factor(spec, n, rng)
+    meta = {"kind": spec.kind} if g is None else {"kind": spec.kind, "factor": g}
+    return HermitianMatrix.from_upper(_wigner_matrix(spec, n, rng, 1.0 if g is None else g), meta)
 
 
 def sample_stream(spec: EnsembleSpec, n: int, count: int, rng: RngHandle) -> Iterator[HermitianMatrix]:
@@ -244,6 +263,50 @@ def sample_stream(spec: EnsembleSpec, n: int, count: int, rng: RngHandle) -> Ite
         return
     for s in range(count):
         yield sample(spec, n, rng.substream(s))
+
+
+def entry_stream(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
+                 rows, cols) -> Iterator[np.ndarray]:
+    """``M_s[rows, cols]`` for the s-th matrix ``M_s`` of
+    ``sample_stream(spec, n, count, rng)``, bit for bit.
+
+    The entry-wise kinds make the same draws on the same substreams and read
+    each entry straight from them, with no N x N assembly: ``x + iy`` at
+    triangle position p(i, j) above the diagonal, its conjugate below, and
+    the real diagonal draw on it.  The unitarily invariant quartic kind has
+    no entry-wise law and reads its assembled matrices.  The size and the
+    indices (integers in [0, n), broadcast together) are checked when the
+    stream is made."""
+    _check_matrix_size(n)
+    rows, cols = np.broadcast_arrays(np.asarray(rows), np.asarray(cols))
+    if not (np.issubdtype(rows.dtype, np.integer) and np.issubdtype(cols.dtype, np.integer)):
+        raise IndexError("entry indices must be integers")
+    if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
+        raise IndexError(f"entry indices must lie in [0, {n})")
+    if spec.kind == "quartic_invariant":
+        return (matrix.data[rows, cols] for matrix in sample_stream(spec, n, count, rng))
+    return _triangle_entries(spec, n, count, rng, rows, cols)
+
+
+def _triangle_entries(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
+                      rows: np.ndarray, cols: np.ndarray) -> Iterator[np.ndarray]:
+    """``entry_stream`` for the entry-wise kinds, on checked indices."""
+    r, c = rows.ravel(), cols.ravel()
+    i, j = np.minimum(r, c), np.maximum(r, c)
+    position = i * (2 * n - i - 1) // 2 + (j - i - 1)
+    above, below, on = r < c, r > c, r == c
+    p_above, p_below, d_on = position[above], position[below], r[on]
+    for s in range(count):
+        sub = rng.substream(s)
+        g = _draw_factor(spec, n, sub)
+        x, y, diag = _draw_triangle(spec, n, sub, 1.0 if g is None else g)
+        out = np.zeros(rows.size, dtype=complex)
+        out.real[above] = x[p_above]
+        out.imag[above] = y[p_above]
+        out.real[below] = x[p_below]
+        out.imag[below] = np.negative(y[p_below])
+        out.real[on] = diag[d_on]
+        yield out.reshape(rows.shape)
 
 
 class QuarticChain:

@@ -48,8 +48,13 @@ class ExactComplex:
 
     __radd__ = __add__
 
-    def __sub__(self, o: "ExactComplex") -> "ExactComplex":
+    def __sub__(self, o) -> "ExactComplex":
+        if not isinstance(o, ExactComplex):
+            o = ExactComplex.from_rational(o)
         return ExactComplex(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
+
+    def __rsub__(self, o) -> "ExactComplex":
+        return ExactComplex.from_rational(o) - self
 
     def __neg__(self) -> "ExactComplex":
         return ExactComplex(-self.a, -self.b, -self.c, -self.d)
@@ -79,6 +84,8 @@ class ExactComplex:
         return bool(self.a or self.b or self.c or self.d)
 
     def __eq__(self, o) -> bool:
+        if isinstance(o, (int, Fraction)):
+            o = ExactComplex.from_rational(o)
         if isinstance(o, ExactComplex):
             return (self.a, self.b, self.c, self.d) == (o.a, o.b, o.c, o.d)
         return NotImplemented

@@ -8,9 +8,10 @@ import pytest
 import sympy as sp
 
 from rmtlab.ensembles import (EnsembleSpec, FactorDistribution, MetropolisParams,
-                              ParameterError, entry_cumulant_oracle, sample, sample_stream)
+                              ParameterError, entry_cumulant_oracle, entry_stream, sample,
+                              sample_stream)
 from rmtlab.graphs import CumulantGraph
-from rmtlab.linalg import RngHandle
+from rmtlab.linalg import MAX_MATRIX_SIZE, RngHandle
 
 TWO_CYCLE = CumulantGraph(2, ((0, 1), (1, 0)))
 TWO_TWO_CYCLES = CumulantGraph(4, ((0, 1), (1, 0), (2, 3), (3, 2)))
@@ -207,6 +208,59 @@ def test_sample_bytes_match_parent_assembly(spec, n):
     for s in range(3):
         got = sample(spec, n, RngHandle(53, s))
         assert got.data.tobytes() == parent_sample(spec, n, RngHandle(53, s)).tobytes()
+
+
+# above, on and below the diagonal, with repeats
+ENTRY_ROWS = np.array([[0, 2, 6, 3, 1, 5], [4, 0, 6, 2, 6, 4]])
+ENTRY_COLS = np.array([[1, 5, 6, 0, 1, 5], [2, 3, 6, 2, 0, 4]])
+
+
+@pytest.mark.parametrize("spec", [
+    EnsembleSpec("gue", sigma=0.7, diagonal_variance=0.3),
+    *(EnsembleSpec("wigner", entry_dist=d, sigma=1.3, diagonal_variance=2.5)
+      for d in ("gaussian", "rademacher", "uniform", "centered_exponential")),
+    EnsembleSpec("common_factor", sigma=0.8, diagonal_variance=0.0),
+    EnsembleSpec("damped_common_factor", damping_alpha=1.0, sigma=1.5),
+    EnsembleSpec("damped_common_factor", damping_alpha=0.5, diagonal_variance=0.25),
+    EnsembleSpec("quartic_invariant", quartic_g=0.1, sigma=1.2,
+                 metropolis=MetropolisParams(steps=1, step_size=1.0, burn_in=5))],
+    ids=["gue", "gaussian", "rademacher", "uniform", "centered_exponential",
+         "common_factor", "damped_alpha1", "damped_alpha0.5", "quartic"])
+@pytest.mark.parametrize("n", [7, 12])
+def test_entry_stream_equals_assembled_entries(spec, n):
+    got = list(entry_stream(spec, n, 6, RngHandle(71, 3), ENTRY_ROWS, ENTRY_COLS))
+    want = [m.data[ENTRY_ROWS, ENTRY_COLS] for m in sample_stream(spec, n, 6, RngHandle(71, 3))]
+    assert len(got) == len(want) == 6
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape == ENTRY_ROWS.shape
+        assert np.array_equal(a, b)
+        assert a.tobytes() == b.tobytes()  # the sign of a zero imaginary part too
+
+
+def test_entry_stream_broadcasts_like_fancy_indexing():
+    spec = EnsembleSpec("wigner", entry_dist="uniform")
+    rows, cols = np.arange(5)[:, None], np.array([4, 0, 2])
+    (got,) = entry_stream(spec, 5, 1, RngHandle(4, 0), rows, cols)
+    (want,) = sample_stream(spec, 5, 1, RngHandle(4, 0))
+    assert np.array_equal(got, want.data[rows, cols])
+
+
+@pytest.mark.parametrize("n", [0, -2, MAX_MATRIX_SIZE + 1])
+@pytest.mark.parametrize("kind", ["gue", "common_factor", "quartic_invariant"])
+def test_entry_stream_refuses_sizes_as_sample_does(kind, n):
+    spec = EnsembleSpec(kind)
+    with pytest.raises(ParameterError) as by_sample:
+        sample(spec, n, RngHandle(1, 0))
+    with pytest.raises(ParameterError) as by_stream:
+        entry_stream(spec, n, 3, RngHandle(1, 0), [0], [0])
+    assert str(by_stream.value) == str(by_sample.value)
+
+
+def test_entry_stream_refuses_out_of_range_and_non_integer_indices():
+    spec = EnsembleSpec("gue")
+    for rows, cols in (([0, 4], [1, 2]), ([0], [-1]), ([0.0], [1.0])):
+        with pytest.raises(IndexError):
+            entry_stream(spec, 4, 2, RngHandle(1, 0), rows, cols)
 
 
 def test_quartic_g0_matches_gue_second_moments():

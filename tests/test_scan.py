@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rmtlab import cumulant_scan
 from rmtlab.cumulant_scan import estimate_entry_cumulant, scan_graph, subset_keys
 from rmtlab.ensembles import EnsembleSpec, sample_stream
 from rmtlab.graphs import BoundVerdict, CumulantGraph
@@ -85,3 +86,26 @@ def test_jackknife_matches_delete_one_loop(spec):
     assert est.stderr > 0
     assert est.stderr == pytest.approx(want_stderr, rel=1e-12)
     assert est.estimate == pytest.approx(want_estimate, rel=1e-12, abs=1e-15)
+
+
+def assembled_entries(spec, n, count, rng, rows, cols):
+    """The scan's earlier entry source: every matrix assembled, then indexed."""
+    for matrix in sample_stream(spec, n, count, rng):
+        yield matrix.data[rows, cols]
+
+
+@pytest.mark.parametrize("graph", [TWO_TWO_CYCLES, CumulantGraph.from_text("v=2;e=0->0,1->1"),
+                                   CumulantGraph.from_text("v=3;e=0->1,1->2,2->0")],
+                         ids=["two_two_cycles", "self_loops", "triangle"])
+@pytest.mark.parametrize("spec", [
+    EnsembleSpec("gue"), EnsembleSpec("wigner", entry_dist="centered_exponential", sigma=1.3),
+    EnsembleSpec("common_factor", diagonal_variance=0.5),
+    EnsembleSpec("damped_common_factor", damping_alpha=0.5)],
+    ids=lambda spec: spec.kind)
+def test_estimate_equals_reading_assembled_matrices(spec, graph, monkeypatch):
+    est = estimate_entry_cumulant(spec, graph, 13, 40, RngHandle(9, 2))
+    monkeypatch.setattr(cumulant_scan, "entry_stream", assembled_entries)
+    want = estimate_entry_cumulant(spec, graph, 13, 40, RngHandle(9, 2))
+    assert est.estimate == want.estimate
+    assert est.stderr == want.stderr
+    assert est == want

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from rmtlab import cumulant_scan, partitions, spectral
+from rmtlab import cumulant_scan, ensembles, partitions, spectral
 from rmtlab.ensembles import EnsembleSpec, MetropolisParams
 from rmtlab.graphs import CumulantGraph
 from rmtlab.linalg import HermitianMatrix, RngHandle
@@ -54,22 +54,54 @@ def test_tracer_counts_quartic_sweeps_and_acceptance():
     assert summary["spans"]["ensembles.QuarticChain.run_sweeps"][0] == 1 + count
 
 
-@pytest.mark.parametrize("kind", ["gue", "common_factor", "damped_common_factor"])
-def test_tracer_counts_one_assembly_per_sampled_matrix(kind):
-    n_grid, samples = (4, 5, 6), 4
+def traced_scan(kind: str, n_grid, samples: int) -> dict:
     graph = CumulantGraph(4, ((0, 1), (1, 0), (2, 3), (3, 2)))
     tracer = load_tracer().Tracer()
-    original = HermitianMatrix.__dict__["from_upper"]
     tracer.install()
     try:
         cumulant_scan.scan_graph(EnsembleSpec(kind), graph, n_grid, samples, RngHandle(9, 0))
     finally:
         tracer.uninstall()
+    return tracer.summary()
+
+
+@pytest.mark.parametrize("kind", ["gue", "common_factor", "damped_common_factor"])
+def test_tracer_counts_one_assembly_per_sampled_matrix(kind):
+    n, samples = 6, 4
+    tracer = load_tracer().Tracer()
+    original = HermitianMatrix.__dict__["from_upper"]
+    tracer.install()
+    try:
+        for _ in ensembles.sample_stream(EnsembleSpec(kind), n, samples, RngHandle(9, 0)):
+            pass
+    finally:
+        tracer.uninstall()
     assert HermitianMatrix.__dict__["from_upper"] is original
     summary = tracer.summary()
+    assert summary["counts"]["linalg.HermitianMatrix.from_upper"] == samples
+    assert summary["spans"]["ensembles.sample"][0] == samples
+
+
+@pytest.mark.parametrize("kind", ["gue", "common_factor", "damped_common_factor"])
+def test_tracer_sees_the_scan_make_the_same_draws_without_assembly(kind, monkeypatch):
+    n_grid, samples = (4, 5, 6), 4
+    summary = traced_scan(kind, n_grid, samples)
+    assert "linalg.HermitianMatrix.from_upper" not in summary["counts"]
+    assert "ensembles.sample" not in summary["spans"]
+
+    def assembled_entries(spec, n, count, rng, rows, cols):
+        for matrix in ensembles.sample_stream(spec, n, count, rng):
+            yield matrix.data[rows, cols]
+
+    monkeypatch.setattr(cumulant_scan, "entry_stream", assembled_entries)
+    assembled = traced_scan(kind, n_grid, samples)
     matrices = len(n_grid) * samples
-    assert summary["counts"]["linalg.HermitianMatrix.from_upper"] == matrices
-    assert summary["spans"]["ensembles.sample"][0] == matrices
+    assert assembled["counts"]["linalg.HermitianMatrix.from_upper"] == matrices
+    # one factor draw for the factor kinds, then x, y and the diagonal
+    per_matrix = 3 if kind == "gue" else 4
+    for counter, want in (("linalg.RngHandle.draws", per_matrix * matrices),
+                          ("linalg.RngHandle.substreams", matrices + len(n_grid))):
+        assert summary["counts"][counter] == assembled["counts"][counter] == want
 
 
 def test_tracer_counts_one_partition_sum_per_index_pattern():
