@@ -54,17 +54,6 @@ def test_tracer_counts_quartic_sweeps_and_acceptance():
     assert summary["spans"]["ensembles.QuarticChain.run_sweeps"][0] == 1 + count
 
 
-def traced_scan(kind: str, n_grid, samples: int) -> dict:
-    graph = CumulantGraph(4, ((0, 1), (1, 0), (2, 3), (3, 2)))
-    tracer = load_tracer().Tracer()
-    tracer.install()
-    try:
-        cumulant_scan.scan_graph(EnsembleSpec(kind), graph, n_grid, samples, RngHandle(9, 0))
-    finally:
-        tracer.uninstall()
-    return tracer.summary()
-
-
 @pytest.mark.parametrize("kind", ["gue", "common_factor", "damped_common_factor"])
 def test_tracer_counts_one_assembly_per_sampled_matrix(kind):
     n, samples = 6, 4
@@ -83,25 +72,23 @@ def test_tracer_counts_one_assembly_per_sampled_matrix(kind):
 
 
 @pytest.mark.parametrize("kind", ["gue", "common_factor", "damped_common_factor"])
-def test_tracer_sees_the_scan_make_the_same_draws_without_assembly(kind, monkeypatch):
+def test_tracer_sees_the_scan_make_the_sampler_draws_without_assembly(kind):
     n_grid, samples = (4, 5, 6), 4
-    summary = traced_scan(kind, n_grid, samples)
+    graph = CumulantGraph(4, ((0, 1), (1, 0), (2, 3), (3, 2)))
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        cumulant_scan.scan_graph(EnsembleSpec(kind), graph, n_grid, samples, RngHandle(9, 0))
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
     assert "linalg.HermitianMatrix.from_upper" not in summary["counts"]
     assert "ensembles.sample" not in summary["spans"]
-
-    def assembled_entries(spec, n, count, rng, rows, cols):
-        for matrix in ensembles.sample_stream(spec, n, count, rng):
-            yield matrix.data[rows, cols]
-
-    monkeypatch.setattr(cumulant_scan, "entry_stream", assembled_entries)
-    assembled = traced_scan(kind, n_grid, samples)
+    # per matrix: one substream, one factor draw for the factor kinds, then x, y and
+    # the diagonal; plus one substream per N
     matrices = len(n_grid) * samples
-    assert assembled["counts"]["linalg.HermitianMatrix.from_upper"] == matrices
-    # one factor draw for the factor kinds, then x, y and the diagonal
-    per_matrix = 3 if kind == "gue" else 4
-    for counter, want in (("linalg.RngHandle.draws", per_matrix * matrices),
-                          ("linalg.RngHandle.substreams", matrices + len(n_grid))):
-        assert summary["counts"][counter] == assembled["counts"][counter] == want
+    assert summary["counts"]["linalg.RngHandle.draws"] == (3 if kind == "gue" else 4) * matrices
+    assert summary["counts"]["linalg.RngHandle.substreams"] == matrices + len(n_grid)
 
 
 def test_tracer_counts_one_partition_sum_per_index_pattern():
