@@ -17,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .ensembles import EnsembleSpec, entry_stream
-from .graphs import BoundVerdict, CumulantGraph, classify_bound
+from .graphs import BoundVerdict, CapacityError, CumulantGraph, classify_bound
 from .linalg import RngHandle
-from .partitions import cumulants_from_moments
+from .partitions import MAX_CUMULANT_ENTRIES, cumulants_from_moments
 
 
 def subset_keys(edges) -> dict[tuple[int, ...], tuple]:
@@ -48,13 +48,16 @@ class ScanResult:
 def estimate_entry_cumulant(spec: EnsembleSpec, graph: CumulantGraph, n: int,
                             samples: int, rng: RngHandle) -> CumulantEstimate:
     """Monte Carlo estimate of the joint cumulant attached to ``graph``."""
+    e = graph.num_edges
+    if e > MAX_CUMULANT_ENTRIES:
+        # refused before any draw: the inversion at the end would refuse it
+        raise CapacityError(f"cumulant inversion limited to {MAX_CUMULANT_ENTRIES} entries")
     v = graph.num_vertices
     tuples = n // v
     if tuples < 1:
         raise ValueError(f"matrix size {n} too small for a {v}-vertex graph")
     if samples < 3:
         raise ValueError("need at least three samples for a jackknife error")
-    e = graph.num_edges
     # one row per pair multiset: with parallel edges several subsets share one
     subset_of = {key: subset for subset, key in subset_keys(graph.edges).items()}
     row_of = {key: r for r, key in enumerate(subset_of)}

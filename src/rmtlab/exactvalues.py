@@ -39,7 +39,12 @@ class ExactComplex:
 
     @classmethod
     def from_rational(cls, value) -> "ExactComplex":
-        return cls(Fraction(value))
+        """An int or Fraction as an element; a float, which would turn into
+        its binary value, is refused like every other type."""
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"ExactComplex mixes only with int and Fraction, "
+                            f"not {type(value).__name__}")
+        return cls(value)
 
     def __add__(self, o) -> "ExactComplex":
         if not isinstance(o, ExactComplex):

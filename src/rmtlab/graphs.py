@@ -138,7 +138,7 @@ def scaling_exponent(g: CumulantGraph) -> Fraction:
 # canonical forms and automorphisms
 # ---------------------------------------------------------------------------
 
-_canonical_memo: dict[tuple[int, tuple], CumulantGraph] = {}
+_canonical_memo: dict[tuple[int, tuple], tuple[CumulantGraph, int]] = {}
 
 
 def _component_subgraph(g: CumulantGraph, verts: list[int]) -> tuple[int, tuple]:
@@ -148,23 +148,22 @@ def _component_subgraph(g: CumulantGraph, verts: list[int]) -> tuple[int, tuple]
     return len(verts), edges
 
 
-def _canonical_edges(num_vertices: int, edges: tuple) -> tuple:
-    """Lexicographically minimal edge tuple over all vertex relabellings."""
-    best = None
+def _canonical_edges(num_vertices: int, edges: tuple) -> tuple[tuple, int]:
+    """Lexicographically minimal edge tuple over all vertex relabellings, and
+    how many relabellings reach it: one coset of the vertex automorphisms."""
+    best, count = None, 0
     for perm in itertools.permutations(range(num_vertices)):
         cand = tuple(sorted((perm[s], perm[t]) for s, t in edges))
-        if best is None or cand < best:
-            best = cand
-    return best
+        if best is None or cand <= best:
+            if cand == best:
+                count += 1
+            else:
+                best, count = cand, 1
+    return best, count
 
 
-def canonical_graph_of(num_vertices: int, edges: tuple) -> CumulantGraph:
-    """Canonical representative of the graph with these vertices and edges.
-
-    ``edges`` must be sorted, as ``CumulantGraph.edges`` is.  One memo keyed
-    by ``(num_vertices, edges)`` serves whole graphs and their connected
-    components alike; a hit returns the stored graph and builds nothing.
-    """
+def _canonical_entry(num_vertices: int, edges: tuple) -> tuple[CumulantGraph, int]:
+    """Memo entry: the canonical graph and its vertex-automorphism count."""
     key = (num_vertices, edges)
     hit = _canonical_memo.get(key)
     if hit is not None:
@@ -174,21 +173,35 @@ def canonical_graph_of(num_vertices: int, edges: tuple) -> CumulantGraph:
     g = CumulantGraph(num_vertices, edges)
     components = connected_components(g)
     if len(components) == 1:
-        hit = CumulantGraph(num_vertices, _canonical_edges(num_vertices, edges))
+        best, count = _canonical_edges(num_vertices, edges)
+        hit = (CumulantGraph(num_vertices, best), count)
     else:
         # a connected component with e edges has at most e+1 vertices, which
         # keeps the permutation search small
-        parts = sorted((canonical_graph_of(*_component_subgraph(g, verts))
+        parts = sorted((_canonical_entry(*_component_subgraph(g, verts))
                         for verts in components),
-                       key=lambda c: (c.num_vertices, c.edges))
-        offset = 0
-        merged = []
-        for c in parts:
+                       key=lambda part: (part[0].num_vertices, part[0].edges))
+        offset, merged, count, run = 0, [], 1, 0
+        for i, (c, c_count) in enumerate(parts):
+            # sorting puts equal classes side by side, and the k-th copy of a
+            # class multiplies in k, so a class repeated m times gives m!
+            run = run + 1 if i and c == parts[i - 1][0] else 1
+            count *= c_count * run
             merged.extend((s + offset, t + offset) for s, t in c.edges)
             offset += c.num_vertices
-        hit = CumulantGraph(offset, tuple(merged))
+        hit = (CumulantGraph(offset, tuple(merged)), count)
     _canonical_memo[key] = hit
     return hit
+
+
+def canonical_graph_of(num_vertices: int, edges: tuple) -> CumulantGraph:
+    """Canonical representative of the graph with these vertices and edges.
+
+    ``edges`` must be sorted, as ``CumulantGraph.edges`` is.  One memo keyed
+    by ``(num_vertices, edges)`` serves whole graphs and their connected
+    components alike; a hit returns the stored graph and builds nothing.
+    """
+    return _canonical_entry(num_vertices, edges)[0]
 
 
 def canonical_graph(g: CumulantGraph) -> CumulantGraph:
@@ -205,24 +218,10 @@ def canonical_form(g: CumulantGraph) -> str:
     return canonical_graph(g).to_text()
 
 
-def _vertex_automorphisms(num_vertices: int, edges: tuple) -> int:
-    multiset = tuple(sorted(edges))
-    count = 0
-    for perm in itertools.permutations(range(num_vertices)):
-        if tuple(sorted((perm[s], perm[t]) for s, t in edges)) == multiset:
-            count += 1
-    return count
-
-
 def aut_order(g: CumulantGraph) -> int:
-    """Order of Aut(G): vertex symmetries times parallel-edge permutations."""
-    if g.num_edges > MAX_CANONICAL_EDGES:
-        raise CapacityError(f"automorphism count limited to {MAX_CANONICAL_EDGES} edges")
-    counts = Counter(canonical_graph_of(*_component_subgraph(g, verts))
-                     for verts in connected_components(g))
-    order = 1
-    for comp, mult in counts.items():
-        order *= factorial(mult) * _vertex_automorphisms(comp.num_vertices, comp.edges) ** mult
+    """Order of Aut(G): vertex symmetries, as the canonical-form memo counts
+    them, times parallel-edge permutations."""
+    order = _canonical_entry(g.num_vertices, g.edges)[1]
     for parallel_mult in Counter(g.edges).values():
         order *= factorial(parallel_mult)
     return order

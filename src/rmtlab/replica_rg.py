@@ -579,7 +579,6 @@ class BoundEntry:
 @dataclass(frozen=True)
 class FlowBoundsReport:
     entries: tuple[BoundEntry, ...]
-    higher_n_terms: tuple[tuple[str, int, str], ...]
 
     @property
     def all_ok(self) -> bool:
@@ -593,8 +592,7 @@ def check_bounds_flow(state: FlowState, spec: CumulantSpec) -> FlowBoundsReport:
     The Gaussian part is re-flown alone and subtracted to isolate the
     perturbation.  For each graph and t-order the n^0 grade of
     N^(v-c-e/2) C_G(t) must be non-positive (strictly negative for Eulerian
-    perturbations); terms at higher replica power that overshoot are listed
-    separately, as the grading argument predicts them.
+    perturbations).
     """
     from .graphs import connected_components, is_eulerian
 
@@ -603,7 +601,6 @@ def check_bounds_flow(state: FlowState, spec: CumulantSpec) -> FlowBoundsReport:
     full_d = to_distinct_basis(state)
     gauss_d = to_distinct_basis(gauss_state)
     entries: list[BoundEntry] = []
-    higher: list[tuple[str, int, str]] = []
     graphs = sorted(set(full_d.table) | set(gauss_d.table), key=lambda g: g.to_text())
     for g in graphs:
         vc2 = 2 * (g.num_vertices - len(connected_components(g)))
@@ -623,10 +620,4 @@ def check_bounds_flow(state: FlowState, spec: CumulantSpec) -> FlowBoundsReport:
                     grade = Fraction(max(b for (_, b), _ in n0.terms) + vc2, 2)
                     ok = grade < 0 if strict else grade <= 0
                 entries.append(BoundEntry(g.to_text(), k, part, euler, grade, exact, ok))
-                for (a, b), _ in coeff.terms:
-                    if a >= 1:
-                        high = Fraction(b + vc2, 2)
-                        if (high >= 0) if strict else (high > 0):
-                            higher.append((g.to_text(), k, part))
-                            break
-    return FlowBoundsReport(tuple(entries), tuple(higher))
+    return FlowBoundsReport(tuple(entries))

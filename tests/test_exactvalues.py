@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -39,3 +40,16 @@ def test_exact_complex_subtracts_rationals():
     assert 3 - z == -(z - 3)
     assert isinstance(1 - z, ExactComplex)
     assert z - Fraction(2, 7) == z + Fraction(-2, 7)
+
+
+@pytest.mark.parametrize("other", [0.1, 1.0, 1j, "1"],
+                         ids=["float", "integral_float", "complex", "str"])
+def test_exact_complex_refuses_non_rationals_in_arithmetic(other):
+    z = ExactComplex(1, Fraction(1, 2), -1)
+    with pytest.raises(TypeError):
+        ExactComplex.from_rational(other)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(z, other)
+        with pytest.raises(TypeError):
+            op(other, z)

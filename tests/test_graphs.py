@@ -172,6 +172,8 @@ def test_canonical_capacity():
     g = CumulantGraph(2, tuple((0, 1) for _ in range(9)))
     with pytest.raises(CapacityError):
         canonical_form(g)
+    with pytest.raises(CapacityError):
+        aut_order(g)
 
 
 # --- automorphisms ---------------------------------------------------------------
@@ -182,6 +184,11 @@ def test_canonical_capacity():
     (CumulantGraph(4, ((0, 1), (1, 0), (2, 3), (3, 2))), 8),
     (CumulantGraph(2, ((0, 1), (1, 0))), 2),
     (CumulantGraph(1, ((0, 0), (0, 0))), 2),
+    # a component class repeated m times multiplies in m!; the last graph's
+    # two components are of different classes
+    (CumulantGraph.from_text("v=6;e=0->1,2->3,4->5"), 6),
+    (CumulantGraph.from_text("v=6;e=0->1,1->0,2->3,3->2,4->5,5->4"), 48),
+    (CumulantGraph.from_text("v=2;e=0->0,1->1,1->1"), 2),
 ])
 def test_aut_order_examples(graph, order):
     assert aut_order(graph) == order
@@ -200,6 +207,31 @@ def test_aut_order_product_over_non_isomorphic_parts():
     b = CumulantGraph(1, ((0, 0),))
     union = CumulantGraph(3, ((0, 1), (1, 0), (2, 2)))
     assert aut_order(union) == aut_order(a) * aut_order(b)
+
+
+def test_aut_order_and_labels_match_brute_force_on_five_edge_classes():
+    classes = [g for g in enumerate_graphs(5) if g.num_vertices <= 8]
+    assert len(classes) == 2080
+    for g in classes:
+        assert aut_order(g) == brute_aut_order(g), g
+    # a disconnected class is ordered by component, which need not be the
+    # lexicographic minimum of the whole graph
+    for g in classes:
+        if len(connected_components(g)) == 1:
+            assert canonical_graph(g).edges == min(
+                tuple(sorted((perm[s], perm[t]) for s, t in g.edges))
+                for perm in itertools.permutations(range(g.num_vertices)))
+
+
+def test_aut_order_reads_the_canonical_memo(monkeypatch):
+    g = CumulantGraph.from_text("v=7;e=0->1,1->0,2->3,3->2,4->5,5->6,6->4")
+    canonical_graph(g)
+
+    def no_search(*args):
+        raise AssertionError("aut_order started a permutation search")
+
+    monkeypatch.setattr(itertools, "permutations", no_search)
+    assert aut_order(g) == 2 * 2 * 2 * 3
 
 
 # --- enumeration ------------------------------------------------------------------

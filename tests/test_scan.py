@@ -6,9 +6,9 @@ import pytest
 from rmtlab import cumulant_scan
 from rmtlab.cumulant_scan import estimate_entry_cumulant, scan_graph, subset_keys
 from rmtlab.ensembles import EnsembleSpec, sample_stream
-from rmtlab.graphs import BoundVerdict, CumulantGraph
+from rmtlab.graphs import BoundVerdict, CapacityError, CumulantGraph
 from rmtlab.linalg import RngHandle
-from rmtlab.partitions import cumulants_from_moments
+from rmtlab.partitions import MAX_CUMULANT_ENTRIES, cumulants_from_moments
 
 TWO_TWO_CYCLES = CumulantGraph(4, ((0, 1), (1, 0), (2, 3), (3, 2)))
 TWO_CYCLE = CumulantGraph(2, ((0, 1), (1, 0)))
@@ -49,6 +49,17 @@ def test_estimator_guards():
         estimate_entry_cumulant(EnsembleSpec("gue"), TWO_TWO_CYCLES, 3, 100, RngHandle(7, 0))
     with pytest.raises(ValueError):
         estimate_entry_cumulant(EnsembleSpec("gue"), TWO_CYCLE, 8, 2, RngHandle(7, 0))
+
+
+def test_estimator_refuses_too_many_edges_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("entry_stream was called")
+
+    monkeypatch.setattr(cumulant_scan, "entry_stream", no_draws)
+    k = MAX_CUMULANT_ENTRIES + 1
+    cycle = CumulantGraph(k, tuple((i, (i + 1) % k) for i in range(k)))
+    with pytest.raises(CapacityError):
+        estimate_entry_cumulant(EnsembleSpec("gue"), cycle, 128, 3000, RngHandle(7, 0))
 
 
 def delete_one_reference(spec, graph, n, samples, rng):
