@@ -325,6 +325,7 @@ class QuarticChain:
     def __init__(self, spec: EnsembleSpec, n: int, rng: RngHandle):
         if spec.kind != "quartic_invariant":
             raise ParameterError("QuarticChain requires a quartic_invariant spec")
+        _check_matrix_size(n)
         self.spec = spec
         self.n = n
         self.rng = rng

@@ -18,6 +18,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .partitions import cumulants_from_moments
+from .ring import as_fraction
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -27,23 +28,21 @@ class InexactValue(Exception):
 
 
 class ExactComplex:
-    """(a + b sqrt2) + i (c + d sqrt2) with Fraction coefficients."""
+    """(a + b sqrt2) + i (c + d sqrt2) with Fraction coefficients, each made
+    from an int or Fraction (see ``ring.as_fraction``)."""
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.c = Fraction(c)
-        self.d = Fraction(d)
+        self.a = as_fraction(a)
+        self.b = as_fraction(b)
+        self.c = as_fraction(c)
+        self.d = as_fraction(d)
 
     @classmethod
     def from_rational(cls, value) -> "ExactComplex":
         """An int or Fraction as an element; a float, which would turn into
         its binary value, is refused like every other type."""
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"ExactComplex mixes only with int and Fraction, "
-                            f"not {type(value).__name__}")
         return cls(value)
 
     def __add__(self, o) -> "ExactComplex":

@@ -16,6 +16,7 @@ from math import factorial, perm
 from typing import Callable, Sequence
 
 from .graphs import CapacityError, CumulantGraph, graph_from_monomial
+from .ring import as_fraction
 
 MAX_PARTITION_GROUND = 10
 MAX_MOMENT_ENTRIES = 8
@@ -101,7 +102,7 @@ class CumulantFunction:
 
 def gaussian_cumulant_function(sigma_sq=Fraction(1)) -> CumulantFunction:
     """Cumulants of the Gaussian unitary-invariant law <M_ij M_kl>_c = s^2 d_il d_jk."""
-    sigma_sq = Fraction(sigma_sq)
+    sigma_sq = as_fraction(sigma_sq)
 
     def evaluate(graph: CumulantGraph, assignment: tuple, N: int):
         if graph.num_edges != 2:

@@ -64,7 +64,7 @@ class CumulantSpec:
 
     @classmethod
     def gaussian_spec(cls, sigma_sq=Fraction(1)) -> "CumulantSpec":
-        value = RingElement.scalar(Fraction(sigma_sq))
+        value = RingElement.scalar(sigma_sq)
         return cls(gaussian=((TWO_CYCLE, value), (DOUBLE_SELF_LOOP, value)))
 
     def with_perturbation(self, graph: CumulantGraph, value: RingElement) -> "CumulantSpec":
@@ -389,7 +389,8 @@ def rg_derivative(state: FlowState) -> FlowState:
 
 
 def integrate_flow(state0: FlowState, order: int, cone_edges: int | None = None) -> FlowState:
-    """Polynomial Picard integration of the flow to t^order; exact.
+    """Polynomial Picard integration of the flow from a t^0 potential (as
+    ``initial_potential`` builds it) to t^order; exact.
 
     With ``cone_edges`` E, only the light cone of the graphs with at most E
     edges at t^order is flown.  One step lowers a graph's edge count by at
@@ -401,18 +402,16 @@ def integrate_flow(state0: FlowState, order: int, cone_edges: int | None = None)
     """
     if order > MAX_FLOW_ORDER:
         raise CapacityError(f"flow order limited to {MAX_FLOW_ORDER}")
+    if order < 0:
+        raise ValueError("flow order must be non-negative")
     if state0.basis != FREE_SUM:
         raise ValueError("integrate_flow requires the free-sum basis")
-    if order < state0.order_t:
-        raise ValueError("cannot integrate below the state's current order")
+    if state0.order_t != 0:
+        raise ValueError(f"integrate_flow starts from a t^0 potential, not t^{state0.order_t}")
     reach = inf if cone_edges is None else cone_edges + order
-    if state0.cone_edges is not None and state0.order_t > 0 \
-            and reach > state0.cone_edges + state0.order_t:
-        raise ValueError("cannot widen the light cone of a flown state")
-    table = {g: series + [RingElement.zero()] * (order - state0.order_t)
-             for g, series in state0.table.items()}
-    vacuum = list(state0.vacuum) + [RingElement.zero()] * (order - state0.order_t)
-    trunc = Counter(state0.truncation_events)
+    table = {g: series + [RingElement.zero()] * order for g, series in state0.table.items()}
+    vacuum = list(state0.vacuum) + [RingElement.zero()] * order
+    trunc: Counter = Counter()
     for k in range(order):
         contrib, vac = _derivative_order(table, k, state0.max_edges, trunc, reach - (k + 1))
         inv = Fraction(1, k + 1)

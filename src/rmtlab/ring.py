@@ -11,6 +11,16 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 
+def as_fraction(value) -> Fraction:
+    """An int or Fraction as a Fraction; anything else, a float above all,
+    which would silently become its binary value, raises TypeError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"exact values are int or Fraction, not {type(value).__name__}")
+
+
 def _sorted_nonzero(acc: dict) -> tuple:
     """Canonical term tuple of a dict of exact ``Fraction`` sums per key."""
     return tuple(sorted(item for item in acc.items() if item[1]))
@@ -29,7 +39,7 @@ class RingElement:
         for (a, b), coeff in items:
             if a < 0:
                 raise ValueError("replica power must be non-negative")
-            coeff = Fraction(coeff)
+            coeff = as_fraction(coeff)
             if coeff:
                 key = (int(a), int(b))
                 acc[key] = acc.get(key, Fraction(0)) + coeff
@@ -57,7 +67,7 @@ class RingElement:
 
     @classmethod
     def scalar(cls, value) -> "RingElement":
-        return cls({(0, 0): Fraction(value)})
+        return cls({(0, 0): value})
 
     @classmethod
     def n(cls) -> "RingElement":
@@ -66,7 +76,7 @@ class RingElement:
     @classmethod
     def N_half(cls, b: int = 1, coeff=1) -> "RingElement":
         """The monomial ``coeff * N**(b/2)``."""
-        return cls({(0, b): Fraction(coeff)})
+        return cls({(0, b): coeff})
 
     # -- arithmetic ------------------------------------------------------
 
@@ -104,7 +114,7 @@ class RingElement:
     __rmul__ = __mul__
 
     def scale(self, value) -> "RingElement":
-        value = Fraction(value)
+        value = as_fraction(value)
         if value == 1:
             return self
         if not value:

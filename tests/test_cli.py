@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from rmtlab import ensembles
 from rmtlab.cli import OutputLock, main
 from rmtlab.config import ConfigError
+from rmtlab.linalg import MAX_MATRIX_SIZE
 
 GUE_DOC = {"schema_version": 1, "ensemble": {"kind": "gue", "sigma": 1.0},
            "n_grid": [8], "samples_per_n": 2, "seed": 1}
@@ -319,6 +321,19 @@ def test_moments_rejects_non_finite_ensemble_parameters(tmp_path, capsys, field)
     assert main(["moments", "--config", str(cfg), "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "moments"])
+def test_quartic_oversized_matrix_exits_2_before_the_chain_starts(tmp_path, monkeypatch, command):
+    def no_start(*args, **kwargs):
+        raise AssertionError("the chain drew its Gaussian start")
+
+    monkeypatch.setattr(ensembles, "_wigner_matrix", no_start)
+    ensemble = {"kind": "quartic_invariant", "quartic_g": 0.1}
+    cfg = write_config(tmp_path, dict(GUE_DOC, ensemble=ensemble, n_grid=[MAX_MATRIX_SIZE + 1]))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists() or not list(out.iterdir())
 
 
 @pytest.mark.parametrize("sigma", ["nan", "inf"])

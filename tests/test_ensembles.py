@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from rmtlab import ensembles
 from rmtlab.ensembles import (EnsembleSpec, FactorDistribution, MetropolisParams,
-                              ParameterError, entry_cumulant_oracle, entry_stream, sample,
-                              sample_stream)
+                              ParameterError, QuarticChain, entry_cumulant_oracle, entry_stream,
+                              sample, sample_stream)
 from rmtlab.graphs import CumulantGraph
 from rmtlab.linalg import MAX_MATRIX_SIZE, RngHandle
+from rmtlab.spectral import spectra
 
 TWO_CYCLE = CumulantGraph(2, ((0, 1), (1, 0)))
 TWO_TWO_CYCLES = CumulantGraph(4, ((0, 1), (1, 0), (2, 3), (3, 2)))
@@ -254,6 +256,19 @@ def test_entry_stream_refuses_sizes_as_sample_does(kind, n):
     with pytest.raises(ParameterError) as by_stream:
         entry_stream(spec, n, 3, RngHandle(1, 0), [0], [0])
     assert str(by_stream.value) == str(by_sample.value)
+
+
+@pytest.mark.parametrize("n", [0, MAX_MATRIX_SIZE + 1])
+def test_quartic_chain_refuses_sizes_before_its_gaussian_start(monkeypatch, n):
+    def no_start(*args, **kwargs):
+        raise AssertionError("the chain drew its Gaussian start")
+
+    monkeypatch.setattr(ensembles, "_wigner_matrix", no_start)
+    spec = EnsembleSpec("quartic_invariant", quartic_g=0.1)
+    with pytest.raises(ParameterError, match="matrix size"):
+        QuarticChain(spec, n, RngHandle(1, 0))
+    with pytest.raises(ParameterError, match="matrix size"):
+        spectra(spec, n, 1, RngHandle(1, 0))
 
 
 def test_entry_stream_refuses_out_of_range_and_non_integer_indices():

@@ -401,12 +401,30 @@ def test_derivative_certificate():
                 assert capped.coefficient(g, k) == wide.coefficient(g, k), (g.to_text(), k)
 
 
-def test_light_cone_cannot_widen():
-    state = integrate_flow(initial_potential(SIGMA1), 3, 1)
-    assert integrate_flow(state, 4, 0).cone_edges == 0
-    for wider in (None, 2):
-        with pytest.raises(ValueError):
-            integrate_flow(state, 4, wider)
+@pytest.mark.parametrize("cone", [None, 0, 1, 2])
+def test_flow_refuses_a_state_flown_past_t0(cone):
+    # resuming would integrate t^0..t^2 again on top of the coefficients held
+    s0 = initial_potential(SIGMA1)
+    for flown in (integrate_flow(s0, 3), integrate_flow(s0, 3, 1)):
+        with pytest.raises(ValueError, match=r"t\^0"):
+            integrate_flow(flown, 4, cone)
+
+
+def test_flow_from_a_t0_state_equals_flow_from_the_potential():
+    s0 = initial_potential(SIGMA1.with_perturbation(DOUBLE_EDGE, QUARTIC))
+    for cone in (None, 1):
+        want = integrate_flow(s0, 4, cone)
+        for start in (integrate_flow(s0, 0), integrate_flow(s0, 0, 1),
+                      FlowState.from_json(s0.to_json())):
+            assert start.order_t == 0
+            assert integrate_flow(start, 4, cone) == want
+    gauss = integrate_flow(integrate_flow(initial_potential(SIGMA1), 0), 4)
+    assert gauss.coefficient(TADPOLE, 3) == ring(c0=2, c0_m4=1, c1_m2=5, c2_m4=2)
+
+
+def test_flow_refuses_negative_order():
+    with pytest.raises(ValueError, match="non-negative"):
+        integrate_flow(initial_potential(SIGMA1), -1)
 
 
 @pytest.mark.parametrize("key", ["max_edges", "truncation_events"])

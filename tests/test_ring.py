@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmtlab.exactvalues import ExactComplex
+from rmtlab.partitions import gaussian_cumulant_function
+from rmtlab.replica_rg import CumulantSpec
 from rmtlab.ring import RingElement
 
 
@@ -104,3 +107,29 @@ def test_ring_matches_dict_reference(x, y, factor, shift):
     assert_canonical(ex.n_grade(1), {key: c for key, c in x.items() if key[0] == 1})
     with pytest.raises(ValueError):
         RingElement({(-1, 0): 1} | x)
+
+
+
+# --- one rule for exact inputs: int or Fraction, else TypeError --------------------
+
+# each builds a value from v and reads v back
+EXACT_ENTRY_POINTS = {
+    "ExactComplex": lambda v: ExactComplex(v).a,
+    "ExactComplex_sqrt2_part": lambda v: ExactComplex(1, v).b,
+    "RingElement": lambda v: RingElement({(0, 0): v}).large_N_limit(),
+    "RingElement.scalar": lambda v: RingElement.scalar(v).large_N_limit(),
+    "RingElement.scale": lambda v: RingElement.one().scale(v).large_N_limit(),
+    "gaussian_spec": lambda v: CumulantSpec.gaussian_spec(v).gaussian[0][1].large_N_limit(),
+    "gaussian_cumulant_function":
+        lambda v: gaussian_cumulant_function(v).on_pairs(((0, 1), (1, 0)), 3),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(EXACT_ENTRY_POINTS))
+def test_exact_entry_points_refuse_floats_and_take_rationals(entry):
+    build = EXACT_ENTRY_POINTS[entry]
+    with pytest.raises(TypeError):
+        build(0.1)
+    for value in (3, Fraction(2, 7)):
+        got = build(value)
+        assert type(got) is Fraction and got == value
