@@ -152,11 +152,12 @@ def cmd_sample(config: ExperimentConfig, out_dir: Path) -> int:
         for n_index, n in enumerate(config.n_grid):
             eigs = spectra(config.ensemble, n, config.samples_per_n,
                            RngHandle(config.seed, 0).substream(n_index), warnings)
-            lines = ["sample_index,eig_index,lambda_scaled"]
+            # joined per spectrum: a string per eigenvalue would hold count * N objects
+            rows = ["sample_index,eig_index,lambda_scaled\n"]
             for s_idx, row in enumerate(eigs):
-                for e_idx, lam in enumerate(row.tolist()):
-                    lines.append(f"{s_idx},{e_idx},{lam!r}")
-            _write_text(out_dir / f"spectra_N{n}.csv", "\n".join(lines) + "\n")
+                rows.append("".join(f"{s_idx},{e_idx},{lam!r}\n"
+                                    for e_idx, lam in enumerate(row.tolist())))
+            _write_text(out_dir / f"spectra_N{n}.csv", "".join(rows))
         _write_metadata(out_dir, config, "sample", {"warnings": warnings})
     return EXIT_OK
 

@@ -14,6 +14,7 @@ from typing import Mapping
 
 from .ensembles import EnsembleSpec, ParameterError
 from .graphs import CumulantGraph, GraphParseError
+from .linalg import MAX_MATRIX_SIZE
 from .spectral import MAX_MOMENT_ORDER
 
 SCHEMA_VERSION = 1
@@ -44,8 +45,8 @@ class ExperimentConfig:
             raise ConfigError("n_grid: must not be empty")
         if list(self.n_grid) != sorted(set(self.n_grid)):
             raise ConfigError("n_grid: must be strictly ascending")
-        if any(n < 1 for n in self.n_grid):
-            raise ConfigError("n_grid: sizes must be positive")
+        if any(not 1 <= n <= MAX_MATRIX_SIZE for n in self.n_grid):
+            raise ConfigError(f"n_grid: sizes must be in [1, {MAX_MATRIX_SIZE}]")
         if self.samples_per_n < 1:
             raise ConfigError("samples_per_n: must be at least 1")
         if self.seed < 0:

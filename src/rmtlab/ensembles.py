@@ -8,6 +8,7 @@ diagonal variance sigma^2 by default (configurable).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -60,6 +61,12 @@ class FactorDistribution:
 
     def values(self) -> np.ndarray:
         return np.sqrt(np.array([float(s) for s in self.squares]))
+
+    @functools.cached_property
+    def float_law(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """``values()`` and the weights as floats, converted once per law
+        rather than once per drawn factor."""
+        return tuple(self.values().tolist()), tuple(float(w) for w in self.weights)
 
     def to_json(self) -> dict:
         return {"squares": [str(s) for s in self.squares],
@@ -181,7 +188,10 @@ def _draw_entries(rng: RngHandle, dist: str, size: int) -> np.ndarray:
     if dist == "gaussian":
         return rng.normals(size)
     if dist == "rademacher":
-        return np.where(rng.uniform(size) < 0.5, -1.0, 1.0)
+        # -1 below 1/2, +1 from 1/2 on, written into the uniform buffer itself
+        values = rng.uniform(size)
+        values -= 0.5
+        return np.copysign(1.0, values, out=values)
     if dist == "uniform":
         return (2.0 * rng.uniform(size) - 1.0) * math.sqrt(3.0)
     if dist == "centered_exponential":
@@ -213,9 +223,8 @@ def _draw_factor(spec: EnsembleSpec, n: int, rng: RngHandle) -> float | None:
     """The scalar factor g of a common-factor kind, drawn before the entries;
     None, with no draw, for the independent-entry kinds."""
     if spec.kind == "common_factor":
-        values = spec.factor_dist.values()
-        weights = [float(w) for w in spec.factor_dist.weights]
-        return float(values[rng.choice_index(weights)])
+        values, weights = spec.factor_dist.float_law
+        return values[rng.choice_index(weights)]
     if spec.kind == "damped_common_factor":
         xi = -1.0 if rng.uniform() < 0.5 else 1.0
         return 1.0 + xi * float(n) ** (-spec.damping_alpha / 2.0)
@@ -249,7 +258,8 @@ def sample(spec: EnsembleSpec, n: int, rng: RngHandle) -> HermitianMatrix:
         return next(sample_stream(spec, n, 1, rng))
     g = _draw_factor(spec, n, rng)
     meta = {"kind": spec.kind} if g is None else {"kind": spec.kind, "factor": g}
-    return HermitianMatrix.from_upper(_wigner_matrix(spec, n, rng, 1.0 if g is None else g), meta)
+    return HermitianMatrix.from_triangle(*_draw_triangle(spec, n, rng, 1.0 if g is None else g),
+                                         meta)
 
 
 def sample_stream(spec: EnsembleSpec, n: int, count: int, rng: RngHandle) -> Iterator[HermitianMatrix]:

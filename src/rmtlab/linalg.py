@@ -125,13 +125,35 @@ class HermitianMatrix:
             raise ValueError("expected a square matrix")
         n = upper.shape[0]
         _check_size(n)
-        iu, il, diag = triangle_indices(n)
+        iu, _, diag = triangle_indices(n)
+        values = upper.take(iu)
+        return cls.from_triangle(values.real, values.imag, upper.take(diag).real, meta)
+
+    @classmethod
+    def from_triangle(cls, x: np.ndarray, y: np.ndarray, diag: np.ndarray,
+                      meta: dict | None = None) -> "HermitianMatrix":
+        """Build from the real parts ``x`` and imaginary parts ``y`` of the
+        strict upper triangle, in ``np.triu_indices(n, k=1)`` order, and the
+        real diagonal ``diag`` of length n; the inputs are left unchanged.
+
+        ``x + iy``, its conjugate ``x - iy`` and the diagonal are scattered
+        once into a fresh read-only complex array through ``triangle_indices``,
+        so conjugate symmetry holds exactly."""
+        diag = np.asarray(diag)
+        if diag.ndim != 1:
+            raise ValueError("expected a one-dimensional diagonal")
+        n = diag.shape[0]
+        _check_size(n)
+        if np.shape(x) != (n * (n - 1) // 2,) or np.shape(y) != np.shape(x):
+            raise ValueError(f"expected {n * (n - 1) // 2} upper-triangle values")
+        iu, il, idiag = triangle_indices(n)
         full = np.empty((n, n), dtype=complex)
         flat = full.reshape(-1)
-        values = upper.take(iu)
-        flat[iu] = values
-        flat[il] = np.conjugate(values, out=values)
-        flat[diag] = upper.take(diag).real
+        flat.real[iu] = x
+        flat.imag[iu] = y
+        flat.real[il] = x
+        flat.imag[il] = np.negative(y)
+        flat[idiag] = diag
         full.flags.writeable = False
         return cls(n, full, meta or {})
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -76,18 +79,77 @@ class MomentRow:
     gap: float
 
 
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# numpy holds the GIL through the eigensolve of one matrix with N <= 500 (its
+# gufuncs release it only when the loop size times the core dimension exceeds
+# 500; measured with numpy 2.4), so threads cannot overlap smaller eigensolves.
+_MIN_THREADED_SIZE = 501
+
+
+def _eigensolve_workers(n: int) -> int:
+    """Eigensolves of N x N matrices to run at once: the cores this process
+    may use, divided by the BLAS threads of one eigensolve, as the first of
+    ``_BLAS_THREAD_VARIABLES`` that is set gives them; at least 1.
+
+    1 when N is below ``_MIN_THREADED_SIZE``, when none is set, or when the
+    first one set is not a positive integer: a BLAS left to choose already
+    runs one eigensolve on every core."""
+    if n < _MIN_THREADED_SIZE:
+        return 1
+    for name in _BLAS_THREAD_VARIABLES:
+        text = os.environ.get(name)
+        if text is None:
+            continue
+        try:
+            threads = int(text)
+        except ValueError:
+            return 1
+        if threads < 1:
+            return 1
+        return max(1, len(os.sched_getaffinity(0)) // threads)
+    return 1
+
+
 def spectra(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
             warnings: dict[str, list[str]] | None = None) -> np.ndarray:
     """Row s: ascending eigenvalues of M_s / sqrt(n), for the s-th matrix of
-    ``sample_stream(spec, n, count, rng)``; one matrix is held at a time.
+    ``sample_stream(spec, n, count, rng)``.
 
-    Sampler warnings are appended to ``warnings[str(n)]`` when a dict is given."""
+    Matrices are sampled in order on the calling thread.  With one worker
+    (``_eigensolve_workers``, at most ``count``) each is solved there too;
+    with more, the eigensolves run on that many threads, with at most that
+    many matrices in flight, and every thread is joined before this returns
+    or raises.  Row s is read from the s-th eigensolve alone, so the rows do
+    not depend on the number of workers.
+
+    Sampler warnings are appended to ``warnings[str(n)]`` in stream order
+    when a dict is given."""
     out = np.empty((count, n))
-    for s, matrix in enumerate(sample_stream(spec, n, count, rng)):
-        out[s] = scale_spectrum(eigenvalues_hermitian(matrix), n)
-        found = matrix.meta.get("warnings")
+    workers = min(_eigensolve_workers(n), count)
+    if workers > 1:
+        # imported here: at module level it would add to every command's start-up
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(workers, thread_name_prefix="rmtlab-eigensolve")
+    else:
+        pool = contextlib.nullcontext()
+    pending: deque = deque()
+
+    def collect():
+        s, found, eigs = pending.popleft()
+        out[s] = scale_spectrum(eigs.result() if workers > 1 else eigs, n)
         if warnings is not None and found:
             warnings.setdefault(str(n), []).extend(found)
+
+    with pool:
+        for s, matrix in enumerate(sample_stream(spec, n, count, rng)):
+            pending.append((s, matrix.meta.get("warnings"),
+                            pool.submit(eigenvalues_hermitian, matrix) if workers > 1
+                            else eigenvalues_hermitian(matrix)))
+            if len(pending) >= workers:
+                collect()
+        while pending:
+            collect()
     return out
 
 

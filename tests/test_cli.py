@@ -333,7 +333,19 @@ def test_quartic_oversized_matrix_exits_2_before_the_chain_starts(tmp_path, monk
     cfg = write_config(tmp_path, dict(GUE_DOC, ensemble=ensemble, n_grid=[MAX_MATRIX_SIZE + 1]))
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-    assert not out.exists() or not list(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("big", [MAX_MATRIX_SIZE + 1, 4096])
+@pytest.mark.parametrize("command", ["sample", "moments", "cumulant-scan"])
+def test_oversized_n_grid_exits_2_before_making_the_output_directory(tmp_path, capsys, command,
+                                                                     big):
+    doc = dict(GUE_DOC, n_grid=[256, big], graphs_to_scan=["v=2;e=0->1,1->0"])
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"n_grid: sizes must be in [1, {MAX_MATRIX_SIZE}]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sigma", ["nan", "inf"])

@@ -106,6 +106,13 @@ def test_rademacher_support():
         assert m.data[0, 1].imag in allowed
 
 
+def test_rademacher_draws_are_the_signs_of_uniforms_against_one_half():
+    from rmtlab.ensembles import _draw_entries
+    got = _draw_entries(RngHandle(31, 7), "rademacher", 4001)
+    u = RngHandle(31, 7).uniform(4001)
+    assert got.tobytes() == np.where(u < 0.5, -1.0, 1.0).tobytes()
+
+
 def test_gue_second_moment_band():
     # sample mean of |M_12|^2 over 1e4 draws at n=64 within 5 standard errors
     spec = EnsembleSpec("gue")

@@ -124,6 +124,30 @@ def test_from_upper_reads_strict_upper_and_real_diagonal(n):
     assert HermitianMatrix.from_upper(scrambled).data.tobytes() == h.data.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 33])
+def test_from_triangle_scatters_the_upper_triangle_it_is_given(n):
+    rng = RngHandle(47, n)
+    m = n * (n - 1) // 2
+    x, y, diag = rng.normals(m), rng.normals(m), rng.normals(n)
+    before = [a.copy() for a in (x, y, diag)]
+    h = HermitianMatrix.from_triangle(x, y, diag, {"kind": "test"})
+    assert all(np.array_equal(a, b) for a, b in zip((x, y, diag), before))
+    assert not h.data.flags.writeable
+    assert h.meta == {"kind": "test"}
+    upper = np.zeros((n, n), dtype=complex)
+    upper[np.triu_indices(n, k=1)] = x + 1j * y
+    upper[np.diag_indices(n)] = diag
+    assert h.data.tobytes() == parent_assembly(upper).tobytes()
+
+
+@pytest.mark.parametrize("sizes", [(2, 3, 3), (3, 2, 3), (3, 3, 4), (0, 0, 0)])
+def test_from_triangle_rejects_mismatched_lengths(sizes):
+    with pytest.raises(ValueError):
+        HermitianMatrix.from_triangle(*(np.zeros(k) for k in sizes))
+    with pytest.raises(ValueError):
+        HermitianMatrix.from_triangle(np.zeros(3), np.zeros(3), np.zeros((3, 1)))
+
+
 def test_from_upper_real_and_non_contiguous_input():
     rng = RngHandle(43, 0)
     real = rng.normals((6, 6))

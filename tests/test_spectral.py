@@ -1,11 +1,14 @@
+import concurrent.futures
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from rmtlab import spectral
-from rmtlab.ensembles import EnsembleSpec, MetropolisParams, sample_stream
-from rmtlab.linalg import RngHandle, eigenvalues_hermitian
+from rmtlab.ensembles import EnsembleSpec, MetropolisParams, ParameterError, sample_stream
+from rmtlab.linalg import HermitianMatrix, RngHandle, eigenvalues_hermitian
 from rmtlab.semicircle import SemicircleParams, cdf
 from rmtlab.spectral import (convergence_scan, esd_moment, histogram,
                              ks_distance_to_semicircle, scale_spectrum, spectra)
@@ -37,17 +40,18 @@ def test_scale_shape_error():
 
 # --- the spectral pipeline --------------------------------------------------------
 
-@pytest.mark.parametrize("spec", [
+PIPELINE_SPECS = [
     EnsembleSpec("gue"),
     EnsembleSpec("wigner", entry_dist="rademacher"),
     EnsembleSpec("common_factor"),
     EnsembleSpec("damped_common_factor", damping_alpha=1.0),
     EnsembleSpec("quartic_invariant", quartic_g=0.1,
                  metropolis=MetropolisParams(steps=1, step_size=30.0, burn_in=0)),
-], ids=lambda spec: spec.kind)
-def test_spectra_rows_equal_per_matrix_pipeline(spec):
+]
+
+
+def assert_spectra_equal_serial_pipeline(spec, n=12, count=5):
     # quartic_invariant: one shared chain per stream, and its warnings are collected
-    n, count = 12, 5
     warnings: dict[str, list[str]] = {}
     eigs = spectra(spec, n, count, RngHandle(23, 0), warnings)
     matrices = list(sample_stream(spec, n, count, RngHandle(23, 0)))
@@ -58,6 +62,126 @@ def test_spectra_rows_equal_per_matrix_pipeline(spec):
     found = [w for m in matrices for w in m.meta.get("warnings", [])]
     assert warnings == ({str(n): found} if found else {})
     assert (spec.kind == "quartic_invariant") == bool(found)
+
+
+@pytest.mark.parametrize("spec", PIPELINE_SPECS, ids=lambda spec: spec.kind)
+def test_spectra_rows_equal_per_matrix_pipeline(spec):
+    assert_spectra_equal_serial_pipeline(spec)
+
+
+def traced_pipeline(monkeypatch, workers):
+    """Force ``workers`` eigensolve threads; record the thread of each
+    eigensolve and, as each matrix is sampled, how many are in flight."""
+    monkeypatch.setattr(spectral, "_eigensolve_workers", lambda n: workers)
+    record = {"threads": [], "in_flight": [], "collected": 0}
+
+    def solve(matrix):
+        record["threads"].append(threading.current_thread().name)
+        return eigenvalues_hermitian(matrix)
+
+    def scale(eigs, n):
+        record["collected"] += 1
+        return scale_spectrum(eigs, n)
+
+    def stream(*args):
+        for s, matrix in enumerate(sample_stream(*args)):
+            record["in_flight"].append(s + 1 - record["collected"])
+            yield matrix
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            record["pool_size"] = max_workers
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(spectral, "eigenvalues_hermitian", solve)
+    monkeypatch.setattr(spectral, "scale_spectrum", scale)
+    monkeypatch.setattr(spectral, "sample_stream", stream)
+    return record
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("spec", PIPELINE_SPECS, ids=lambda spec: spec.kind)
+def test_spectra_on_a_thread_pool_equal_the_serial_pipeline(monkeypatch, spec, workers):
+    record = traced_pipeline(monkeypatch, workers)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # many more thread switches than by default
+    try:
+        assert_spectra_equal_serial_pipeline(spec, count=7)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    # the first 7 eigensolves are spectra's; the rest are the serial reference's
+    assert all(name.startswith("rmtlab-eigensolve") for name in record["threads"][:7])
+    assert record["pool_size"] == workers
+    assert max(record["in_flight"][:7]) == workers
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_spectra_start_no_more_threads_than_matrices(monkeypatch, count):
+    record = traced_pipeline(monkeypatch, 3)
+    spectra(EnsembleSpec("gue"), 6, count, RngHandle(2, 0))
+    if count == 1:
+        # one worker: no pool, the matrix is solved on the calling thread
+        assert "pool_size" not in record
+        assert record["threads"] == [threading.current_thread().name]
+    else:
+        assert record["pool_size"] == count
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("fault", ["non_finite_matrix", "sampler_error"])
+def test_spectra_faults_raise_and_leave_no_thread(monkeypatch, workers, fault):
+    monkeypatch.setattr(spectral, "_eigensolve_workers", lambda n: workers)
+    n = 8
+
+    def stream(*args):
+        for s, matrix in enumerate(sample_stream(*args)):
+            if s == 3:
+                if fault == "sampler_error":
+                    raise ParameterError("sampler failed")
+                matrix = HermitianMatrix(n, np.full((n, n), np.nan + 0j))
+            yield matrix
+
+    monkeypatch.setattr(spectral, "sample_stream", stream)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="finite" if fault == "non_finite_matrix" else "sampler"):
+        spectra(EnsembleSpec("gue"), n, 6, RngHandle(4, 0))
+    assert threading.active_count() == threads
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("env, workers", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "3"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "garbage"}, 1),
+    ({"OPENBLAS_NUM_THREADS": ""}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "-2"}, 1),
+    ({"OMP_NUM_THREADS": "2"}, 2),
+    ({"MKL_NUM_THREADS": "1"}, 4),
+    # the first one set decides
+    ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "garbage", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"}, 4),
+], ids=lambda v: (",".join(f"{k}={x}" for k, x in v.items()) or "unset")
+   if isinstance(v, dict) else str(v))
+def test_eigensolve_workers_divide_the_cores_by_the_blas_threads(monkeypatch, env, workers):
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert spectral._eigensolve_workers(512) == workers
+    # numpy holds the GIL through a smaller eigensolve, so threads cannot help there
+    assert spectral._eigensolve_workers(500) == 1
+    assert spectral._eigensolve_workers(501) == workers
 
 
 # --- moments --------------------------------------------------------------------

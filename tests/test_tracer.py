@@ -54,21 +54,38 @@ def test_tracer_counts_quartic_sweeps_and_acceptance():
     assert summary["spans"]["ensembles.QuarticChain.run_sweeps"][0] == 1 + count
 
 
-@pytest.mark.parametrize("kind", ["gue", "common_factor", "damped_common_factor"])
-def test_tracer_counts_one_assembly_per_sampled_matrix(kind):
+@pytest.mark.parametrize("kind", ["gue", "common_factor", "damped_common_factor",
+                                  "quartic_invariant"])
+def test_tracer_counts_one_assembly_per_sampled_matrix(kind, monkeypatch):
+    # the tracer does not wrap the triangle scatter, so it is counted here
     n, samples = 6, 4
+    scatters = []
+    scatter = HermitianMatrix.from_triangle.__func__
+
+    def counted(cls, *args, **kwargs):
+        scatters.append(args[2].shape)
+        return scatter(cls, *args, **kwargs)
+
+    monkeypatch.setattr(HermitianMatrix, "from_triangle", classmethod(counted))
+    spec = EnsembleSpec(kind, quartic_g=0.1 if kind == "quartic_invariant" else 0.0)
     tracer = load_tracer().Tracer()
     original = HermitianMatrix.__dict__["from_upper"]
     tracer.install()
     try:
-        for _ in ensembles.sample_stream(EnsembleSpec(kind), n, samples, RngHandle(9, 0)):
+        for _ in ensembles.sample_stream(spec, n, samples, RngHandle(9, 0)):
             pass
     finally:
         tracer.uninstall()
     assert HermitianMatrix.__dict__["from_upper"] is original
     summary = tracer.summary()
-    assert summary["counts"]["linalg.HermitianMatrix.from_upper"] == samples
-    assert summary["spans"]["ensembles.sample"][0] == samples
+    assert scatters == [(n,)] * samples
+    if kind == "quartic_invariant":
+        # the chain's rotated matrices go through from_upper, which shares the scatter
+        assert summary["counts"]["linalg.HermitianMatrix.from_upper"] == samples
+    else:
+        # the entry-wise kinds scatter their draws with no N x N staging array
+        assert "linalg.HermitianMatrix.from_upper" not in summary["counts"]
+        assert summary["spans"]["ensembles.sample"][0] == samples
 
 
 @pytest.mark.parametrize("kind", ["gue", "common_factor", "damped_common_factor"])
