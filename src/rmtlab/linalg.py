@@ -126,7 +126,7 @@ class HermitianMatrix:
         n = upper.shape[0]
         _check_size(n)
         iu, _, diag = triangle_indices(n)
-        values = upper.take(iu)
+        values = upper.take(iu).astype(complex, copy=False)
         return cls.from_triangle(values.real, values.imag, upper.take(diag).real, meta)
 
     @classmethod
@@ -134,11 +134,14 @@ class HermitianMatrix:
                       meta: dict | None = None) -> "HermitianMatrix":
         """Build from the real parts ``x`` and imaginary parts ``y`` of the
         strict upper triangle, in ``np.triu_indices(n, k=1)`` order, and the
-        real diagonal ``diag`` of length n; the inputs are left unchanged.
+        real diagonal ``diag`` of length n.
 
         ``x + iy``, its conjugate ``x - iy`` and the diagonal are scattered
         once into a fresh read-only complex array through ``triangle_indices``,
-        so conjugate symmetry holds exactly."""
+        so conjugate symmetry holds exactly.  ``y`` must be writable: it is
+        negated in place for the conjugates and negated back, which is exact,
+        so every input holds its own values again on return and no third
+        triangle-sized array is made."""
         diag = np.asarray(diag)
         if diag.ndim != 1:
             raise ValueError("expected a one-dimensional diagonal")
@@ -150,9 +153,9 @@ class HermitianMatrix:
         full = np.empty((n, n), dtype=complex)
         flat = full.reshape(-1)
         flat.real[iu] = x
-        flat.imag[iu] = y
         flat.real[il] = x
-        flat.imag[il] = np.negative(y)
+        flat.imag[il] = np.negative(y, out=y)
+        flat.imag[iu] = np.negative(y, out=y)
         flat[idiag] = diag
         full.flags.writeable = False
         return cls(n, full, meta or {})

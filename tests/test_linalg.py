@@ -146,6 +146,10 @@ def test_from_triangle_rejects_mismatched_lengths(sizes):
         HermitianMatrix.from_triangle(*(np.zeros(k) for k in sizes))
     with pytest.raises(ValueError):
         HermitianMatrix.from_triangle(np.zeros(3), np.zeros(3), np.zeros((3, 1)))
+    read_only = np.zeros(3)
+    read_only.flags.writeable = False
+    with pytest.raises(ValueError):  # y is negated in place and back
+        HermitianMatrix.from_triangle(np.zeros(3), read_only, np.zeros(3))
 
 
 def test_from_upper_real_and_non_contiguous_input():
