@@ -209,7 +209,10 @@ def cmd_rg_flow(order: int, sigma: Fraction, pert_graph: str | None = None,
     """Run the exact flow, print the resolvent series, check the bounds.
 
     Only the light cone of the tadpole is flown: the resolvent reads the
-    tadpole alone, and the bounds cover every graph inside its cone.
+    tadpole alone, and the bounds cover every graph inside its cone.  A
+    spec that breaks the bounds may make the resolvent diverge: then no
+    series is printed or written, the first divergent t-order is named, and
+    the state and the bounds are still written.
     """
     stream = stream or sys.stdout
     if order < 1 or order > MAX_FLOW_ORDER:
@@ -225,19 +228,33 @@ def cmd_rg_flow(order: int, sigma: Fraction, pert_graph: str | None = None,
                              Fraction(pert_coeff if pert_coeff is not None else 1)})
         spec = spec.with_perturbation(graph, value)
     state = integrate_flow(initial_potential(spec, max_edges), order, TADPOLE.num_edges)
-    coeffs = extract_resolvent(state, order)
-    print(", ".join(str(c) for c in coeffs), file=stream)
+    try:
+        coeffs, divergence = extract_resolvent(state, order), None
+    except FlowInvariantError as exc:
+        coeffs, divergence = None, exc
     report = check_bounds_flow(state, spec)
+    if divergence is not None and report.all_ok:
+        raise divergence
+    if coeffs is not None:
+        print(", ".join(str(c) for c in coeffs), file=stream)
     if out_dir is not None:
         with OutputLock(out_dir):
             _write_text(out_dir / "flow_state.json", state.dumps() + "\n")
-            _write_text(out_dir / "resolvent.txt",
-                        "\n".join(str(c) for c in coeffs) + "\n")
+            if coeffs is None:
+                # a resolvent left by an earlier run would not match this flow
+                (out_dir / "resolvent.txt").unlink(missing_ok=True)
+            else:
+                _write_text(out_dir / "resolvent.txt",
+                            "\n".join(str(c) for c in coeffs) + "\n")
             _write_text(out_dir / "bounds.txt", "\n".join(
                 f"{e.graph} t^{e.t_order} {e.part} grade={e.half_grade} exact={e.exact} ok={e.ok}"
                 for e in report.entries) + "\n")
     if not report.all_ok:
         print("scaling-bound violation in the n^0 grade", file=sys.stderr)
+        if divergence is not None:
+            k = divergence.t_order
+            print(f"divergent input: the tadpole has a positive N grade at t^{k}, so the "
+                  f"resolvent has no large-N limit from 1/z^{k + 2} on", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

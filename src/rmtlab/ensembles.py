@@ -8,6 +8,7 @@ diagonal variance sigma^2 by default (configurable).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -20,9 +21,9 @@ import numpy as np
 from . import exactvalues as ev
 from .exactvalues import ENTRY_DISTS, InexactValue
 from .graphs import CumulantGraph
-from .linalg import (MAX_MATRIX_SIZE, HermitianMatrix, RngHandle, standard_complex_normals,
-                     triangle_indices)
+from .linalg import MAX_MATRIX_SIZE, HermitianMatrix, RngHandle, standard_complex_normals
 from .partitions import cumulants_from_moments, moments_from_cumulants
+from .pool import ordered_map, usable_cores
 
 KINDS = ("gue", "wigner", "common_factor", "damped_common_factor", "quartic_invariant")
 
@@ -231,19 +232,6 @@ def _draw_factor(spec: EnsembleSpec, n: int, rng: RngHandle) -> float | None:
     return None
 
 
-def _wigner_matrix(spec: EnsembleSpec, n: int, rng: RngHandle, factor: float = 1.0) -> np.ndarray:
-    """``_draw_triangle``'s draws in the upper triangle and on the diagonal
-    of an n x n complex array; zero below the diagonal."""
-    x, y, diag = _draw_triangle(spec, n, rng, factor)
-    upper = np.zeros((n, n), dtype=complex)
-    flat = upper.reshape(-1)
-    iu, _, idiag = triangle_indices(n)
-    flat.real[iu] = x
-    flat.imag[iu] = y
-    flat.real[idiag] = diag
-    return upper
-
-
 def _check_matrix_size(n: int):
     if n < 1:
         raise ParameterError("matrix size must be positive")
@@ -298,25 +286,45 @@ def entry_stream(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
     return _triangle_entries(spec, n, count, rng, rows, cols)
 
 
+# Samples per task of ``_triangle_entries``; blocks of 8 to 375 samples
+# timed the same on a 1500-sample scan.
+_DRAW_BLOCK = 64
+
+
 def _triangle_entries(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
                       rows: np.ndarray, cols: np.ndarray) -> Iterator[np.ndarray]:
-    """``entry_stream`` for the entry-wise kinds, on checked indices."""
+    """``entry_stream`` for the entry-wise kinds, on checked indices.
+
+    Blocks of ``_DRAW_BLOCK`` consecutive samples are drawn through
+    ``pool.ordered_map`` on the usable cores (no BLAS runs here), each
+    sample from its own substream, and yielded in stream order; so the
+    entries do not depend on the number of workers."""
     r, c = rows.ravel(), cols.ravel()
     i, j = np.minimum(r, c), np.maximum(r, c)
     position = i * (2 * n - i - 1) // 2 + (j - i - 1)
     above, below, on = r < c, r > c, r == c
     p_above, p_below, d_on = position[above], position[below], r[on]
-    for s in range(count):
-        sub = rng.substream(s)
-        g = _draw_factor(spec, n, sub)
-        x, y, diag = _draw_triangle(spec, n, sub, 1.0 if g is None else g)
-        out = np.zeros(rows.size, dtype=complex)
-        out.real[above] = x[p_above]
-        out.imag[above] = y[p_above]
-        out.real[below] = x[p_below]
-        out.imag[below] = np.negative(y[p_below])
-        out.real[on] = diag[d_on]
-        yield out.reshape(rows.shape)
+
+    def draw_block(start: int) -> list[np.ndarray]:
+        block = []
+        for s in range(start, min(start + _DRAW_BLOCK, count)):
+            sub = rng.substream(s)
+            g = _draw_factor(spec, n, sub)
+            x, y, diag = _draw_triangle(spec, n, sub, 1.0 if g is None else g)
+            out = np.zeros(rows.size, dtype=complex)
+            out.real[above] = x[p_above]
+            out.imag[above] = y[p_above]
+            out.real[below] = x[p_below]
+            out.imag[below] = np.negative(y[p_below])
+            out.real[on] = diag[d_on]
+            block.append(out.reshape(rows.shape))
+        return block
+
+    starts = range(0, count, _DRAW_BLOCK)
+    blocks = ordered_map(draw_block, starts, min(usable_cores(), len(starts)), "rmtlab-draw")
+    with contextlib.closing(blocks):
+        for block in blocks:
+            yield from block
 
 
 class QuarticChain:
@@ -343,8 +351,8 @@ class QuarticChain:
         # start from the eigenvalues of a g = 0 draw (exact for the Gaussian part)
         gaussian = EnsembleSpec("wigner", sigma=spec.sigma / math.sqrt(n),
                                 diagonal_variance=spec.sigma ** 2 / n)
-        init = _wigner_matrix(gaussian, n, rng.substream(0xC0FFEE))
-        self.eigs = np.linalg.eigvalsh(init, UPLO="U")
+        init = sample(gaussian, n, rng.substream(0xC0FFEE))
+        self.eigs = np.linalg.eigvalsh(init.data, UPLO="U")
         self._haar_rng = rng.substream(0x4AA2)
         self.accept_rate = 0.0
 

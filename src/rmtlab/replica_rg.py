@@ -40,7 +40,13 @@ DISTINCT_INDEX = "distinct_index"
 
 
 class FlowInvariantError(ArithmeticError):
-    """A grading invariant failed; signals a rewrite bug, not bad input."""
+    """A grading invariant failed; signals a rewrite bug, not bad input.
+
+    ``t_order`` is the flow order at which it failed, when one is known."""
+
+    def __init__(self, message: str, t_order: int | None = None):
+        super().__init__(message)
+        self.t_order = t_order
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +438,11 @@ def extract_resolvent(state: FlowState, order: int) -> list[Fraction]:
     """Coefficients of 1/z, 1/z^2, ..., 1/z^order of the resolvent.
 
     The coefficient of 1/z^(k+2) is the large-N limit of the n^0 grade of
-    the tadpole series at t^k; a surviving positive N grade is a rewrite
-    bug and raises FlowInvariantError.  A tadpole coefficient that the
-    state cannot certify exact (see FlowState.is_exact) raises
-    CapacityError.
+    the tadpole series at t^k; a surviving positive N grade raises
+    FlowInvariantError with that k.  It is a rewrite bug unless the spec
+    breaks the scaling bounds (``check_bounds_flow``).  A tadpole
+    coefficient that the state cannot certify exact (see
+    FlowState.is_exact) raises CapacityError.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -451,7 +458,7 @@ def extract_resolvent(state: FlowState, order: int) -> list[Fraction]:
         try:
             coeffs.append(w.large_N_limit())
         except ValueError as exc:
-            raise FlowInvariantError(f"tadpole t^{k}: {exc}") from exc
+            raise FlowInvariantError(f"tadpole t^{k}: {exc}", k) from exc
     return coeffs
 
 

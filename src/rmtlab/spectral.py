@@ -5,7 +5,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -13,6 +12,7 @@ import numpy as np
 
 from .ensembles import EnsembleSpec, sample_stream
 from .linalg import RngHandle, eigenvalues_hermitian
+from .pool import ordered_map, usable_cores
 from .semicircle import SemicircleParams, cdf as semicircle_cdf, moment as semicircle_moment
 
 MAX_MOMENT_ORDER = 12
@@ -107,8 +107,13 @@ def _eigensolve_workers(n: int) -> int:
             return 1
         if threads < 1:
             return 1
-        return max(1, len(os.sched_getaffinity(0)) // threads)
+        return max(1, usable_cores() // threads)
     return 1
+
+
+def _solve(matrix) -> tuple[list[str] | None, np.ndarray]:
+    """The sampler's warnings and the ascending spectrum of one matrix."""
+    return matrix.meta.get("warnings"), eigenvalues_hermitian(matrix)
 
 
 def spectra(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
@@ -116,40 +121,24 @@ def spectra(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
     """Row s: ascending eigenvalues of M_s / sqrt(n), for the s-th matrix of
     ``sample_stream(spec, n, count, rng)``.
 
-    Matrices are sampled in order on the calling thread.  With one worker
-    (``_eigensolve_workers``, at most ``count``) each is solved there too;
-    with more, the eigensolves run on that many threads, with at most that
-    many matrices in flight, and every thread is joined before this returns
-    or raises.  Row s is read from the s-th eigensolve alone, so the rows do
-    not depend on the number of workers.
+    Matrices are sampled in order on the calling thread, and their
+    eigensolves go through ``pool.ordered_map`` on ``_eigensolve_workers``
+    workers (at most ``count``): with one, each is solved on the calling
+    thread; with more, on that many threads with at most that many matrices
+    in flight, and every thread is joined before this returns or raises.
+    Row s is read from the s-th eigensolve alone, so the rows do not depend
+    on the number of workers.
 
     Sampler warnings are appended to ``warnings[str(n)]`` in stream order
     when a dict is given."""
     out = np.empty((count, n))
-    workers = min(_eigensolve_workers(n), count)
-    if workers > 1:
-        # imported here: at module level it would add to every command's start-up
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(workers, thread_name_prefix="rmtlab-eigensolve")
-    else:
-        pool = contextlib.nullcontext()
-    pending: deque = deque()
-
-    def collect():
-        s, found, eigs = pending.popleft()
-        out[s] = scale_spectrum(eigs.result() if workers > 1 else eigs, n)
-        if warnings is not None and found:
-            warnings.setdefault(str(n), []).extend(found)
-
-    with pool:
-        for s, matrix in enumerate(sample_stream(spec, n, count, rng)):
-            pending.append((s, matrix.meta.get("warnings"),
-                            pool.submit(eigenvalues_hermitian, matrix) if workers > 1
-                            else eigenvalues_hermitian(matrix)))
-            if len(pending) >= workers:
-                collect()
-        while pending:
-            collect()
+    solved = ordered_map(_solve, sample_stream(spec, n, count, rng),
+                         min(_eigensolve_workers(n), count), "rmtlab-eigensolve")
+    with contextlib.closing(solved):
+        for s, (found, eigs) in enumerate(solved):
+            out[s] = scale_spectrum(eigs, n)
+            if warnings is not None and found:
+                warnings.setdefault(str(n), []).extend(found)
     return out
 
 

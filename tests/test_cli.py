@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from rmtlab import ensembles
+from rmtlab import cli, ensembles
 from rmtlab.cli import OutputLock, main
 from rmtlab.config import ConfigError
 from rmtlab.linalg import MAX_MATRIX_SIZE
+from rmtlab.replica_rg import FlowInvariantError
 
 GUE_DOC = {"schema_version": 1, "ensemble": {"kind": "gue", "sigma": 1.0},
            "n_grid": [8], "samples_per_n": 2, "seed": 1}
@@ -271,6 +272,39 @@ def test_rg_flow_bound_violation_exits_4():
     assert "violation" in result.stderr
 
 
+def test_rg_flow_divergent_input_names_its_order_and_writes_the_bounds(tmp_path):
+    # the one-edge perturbation at N^(1/2) breaks its bound, and the tadpole it
+    # feeds keeps a positive N grade from t^3 on
+    out = tmp_path / "flow"
+    out.mkdir()
+    (out / "resolvent.txt").write_text("left by an earlier run\n")
+    result = run_cli(["rg-flow", "--order", "5", "--pert-graph", "v=2;e=0->1",
+                      "--pert-nhalf", "1", "--out", str(out)])
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert "scaling-bound violation" in result.stderr
+    assert "positive N grade at t^3" in result.stderr
+    assert "numerical error" not in result.stderr
+    assert json.loads((out / "flow_state.json").read_text())["order"] == 5
+    lines = (out / "bounds.txt").read_text().splitlines()
+    assert "v=1;e=0->0 t^3 perturbation grade=3 exact=True ok=False" in lines
+    assert not (out / "resolvent.txt").exists()
+
+
+def test_rg_flow_positive_grade_within_the_bounds_stays_an_invariant_error(
+        tmp_path, capsys, monkeypatch):
+    def diverging(state, order):
+        raise FlowInvariantError("tadpole t^1: positive N grade has no large-N limit", 1)
+
+    monkeypatch.setattr(cli, "extract_resolvent", diverging)
+    out = tmp_path / "flow"
+    assert main(["rg-flow", "--order", "3", "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical error: tadpole t^1" in captured.err
+    assert not out.exists()
+
+
 def test_plot_deterministic_and_wellformed(tmp_path):
     doc = dict(GUE_DOC, n_grid=[32], samples_per_n=4)
     cfg = write_config(tmp_path, doc)
@@ -328,7 +362,7 @@ def test_quartic_oversized_matrix_exits_2_before_the_chain_starts(tmp_path, monk
     def no_start(*args, **kwargs):
         raise AssertionError("the chain drew its Gaussian start")
 
-    monkeypatch.setattr(ensembles, "_wigner_matrix", no_start)
+    monkeypatch.setattr(ensembles, "sample", no_start)
     ensemble = {"kind": "quartic_invariant", "quartic_g": 0.1}
     cfg = write_config(tmp_path, dict(GUE_DOC, ensemble=ensemble, n_grid=[MAX_MATRIX_SIZE + 1]))
     out = tmp_path / "out"

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -140,16 +142,16 @@ def test_wigner_offdiagonal_independence():
 
 
 def test_common_factor_scales_whole_matrix():
-    from rmtlab.ensembles import _wigner_matrix
+    from rmtlab.ensembles import _draw_triangle
     from rmtlab.linalg import HermitianMatrix
     spec = EnsembleSpec("common_factor")
     m = sample(spec, 6, RngHandle(77, 0))
     g = m.meta["factor"]
     assert g in set(np.sqrt([0.5, 1.5]))
-    # replay the draw order: one factor draw, then the wigner matrix
+    # replay the draw order: one factor draw, then the unscaled triangle
     rng = RngHandle(77, 0)
     rng.choice_index([float(w) for w in spec.factor_dist.weights])
-    w = HermitianMatrix.from_upper(_wigner_matrix(spec, 6, rng) * g)
+    w = HermitianMatrix.from_triangle(*(values * g for values in _draw_triangle(spec, 6, rng)))
     assert np.array_equal(m.data, w.data)
 
 
@@ -224,17 +226,22 @@ ENTRY_ROWS = np.array([[0, 2, 6, 3, 1, 5], [4, 0, 6, 2, 6, 4]])
 ENTRY_COLS = np.array([[1, 5, 6, 0, 1, 5], [2, 3, 6, 2, 0, 4]])
 
 
+ENTRY_WISE_SPECS = {
+    "gue": EnsembleSpec("gue", sigma=0.7, diagonal_variance=0.3),
+    **{d: EnsembleSpec("wigner", entry_dist=d, sigma=1.3, diagonal_variance=2.5)
+       for d in ("gaussian", "rademacher", "uniform", "centered_exponential")},
+    "common_factor": EnsembleSpec("common_factor", sigma=0.8, diagonal_variance=0.0),
+    "damped_alpha1": EnsembleSpec("damped_common_factor", damping_alpha=1.0, sigma=1.5),
+    "damped_alpha0.5": EnsembleSpec("damped_common_factor", damping_alpha=0.5,
+                                    diagonal_variance=0.25),
+}
+
+
 @pytest.mark.parametrize("spec", [
-    EnsembleSpec("gue", sigma=0.7, diagonal_variance=0.3),
-    *(EnsembleSpec("wigner", entry_dist=d, sigma=1.3, diagonal_variance=2.5)
-      for d in ("gaussian", "rademacher", "uniform", "centered_exponential")),
-    EnsembleSpec("common_factor", sigma=0.8, diagonal_variance=0.0),
-    EnsembleSpec("damped_common_factor", damping_alpha=1.0, sigma=1.5),
-    EnsembleSpec("damped_common_factor", damping_alpha=0.5, diagonal_variance=0.25),
+    *ENTRY_WISE_SPECS.values(),
     EnsembleSpec("quartic_invariant", quartic_g=0.1, sigma=1.2,
                  metropolis=MetropolisParams(steps=1, step_size=1.0, burn_in=5))],
-    ids=["gue", "gaussian", "rademacher", "uniform", "centered_exponential",
-         "common_factor", "damped_alpha1", "damped_alpha0.5", "quartic"])
+    ids=[*ENTRY_WISE_SPECS, "quartic"])
 @pytest.mark.parametrize("n", [7, 12])
 def test_entry_stream_equals_assembled_entries(spec, n):
     got = list(entry_stream(spec, n, 6, RngHandle(71, 3), ENTRY_ROWS, ENTRY_COLS))
@@ -244,6 +251,86 @@ def test_entry_stream_equals_assembled_entries(spec, n):
         assert a.dtype == b.dtype and a.shape == b.shape == ENTRY_ROWS.shape
         assert np.array_equal(a, b)
         assert a.tobytes() == b.tobytes()  # the sign of a zero imaginary part too
+
+
+def pool_threads(name="rmtlab-draw"):
+    return [t for t in threading.enumerate() if t.name.startswith(name)]
+
+
+@pytest.mark.parametrize("spec", ENTRY_WISE_SPECS.values(), ids=ENTRY_WISE_SPECS)
+@pytest.mark.parametrize("n", [7, 12])
+def test_entry_stream_bytes_do_not_depend_on_the_workers(monkeypatch, spec, n):
+    count = 2 * ensembles._DRAW_BLOCK + 5  # three blocks, the last one short
+
+    def stream(cores):
+        monkeypatch.setattr(ensembles, "usable_cores", lambda: cores)
+        return [a.tobytes() for a in entry_stream(spec, n, count, RngHandle(71, 3),
+                                                  ENTRY_ROWS, ENTRY_COLS)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # many more thread switches than by default
+    try:
+        one, two, three = stream(1), stream(2), stream(3)
+    finally:
+        sys.setswitchinterval(interval)
+    want = [m.data[ENTRY_ROWS, ENTRY_COLS].tobytes()
+            for m in sample_stream(spec, n, count, RngHandle(71, 3))]
+    assert one == two == three == want
+    assert not pool_threads()
+
+
+def test_entry_stream_draws_each_block_on_a_pool_thread(monkeypatch):
+    monkeypatch.setattr(ensembles, "usable_cores", lambda: 2)
+    draw = ensembles._draw_triangle
+    threads = []
+
+    def traced(*args):
+        threads.append(threading.current_thread().name)
+        return draw(*args)
+
+    monkeypatch.setattr(ensembles, "_draw_triangle", traced)
+    spec = EnsembleSpec("gue")
+    # a scan that fits one block runs inline, as the tracer's small scans do
+    list(entry_stream(spec, 6, ensembles._DRAW_BLOCK, RngHandle(2, 0), [0], [1]))
+    assert set(threads) == {threading.current_thread().name}
+    threads.clear()
+    list(entry_stream(spec, 6, ensembles._DRAW_BLOCK + 1, RngHandle(2, 0), [0], [1]))
+    assert len(threads) == ensembles._DRAW_BLOCK + 1
+    assert all(name.startswith("rmtlab-draw") for name in threads)
+
+
+def test_entry_stream_closed_early_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(ensembles, "usable_cores", lambda: 2)
+    stream = entry_stream(EnsembleSpec("gue"), 6, 10 * ensembles._DRAW_BLOCK,
+                          RngHandle(2, 0), [0], [1])
+    next(stream)
+    assert pool_threads()
+    stream.close()
+    assert not pool_threads()
+
+
+def test_entry_stream_draw_error_reaches_the_caller_unchanged(monkeypatch):
+    monkeypatch.setattr(ensembles, "usable_cores", lambda: 2)
+    draw = ensembles._draw_triangle
+    error = ParameterError("draw failed")
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == ensembles._DRAW_BLOCK + 3:
+            raise error
+        return draw(*args)
+
+    monkeypatch.setattr(ensembles, "_draw_triangle", failing)
+    seen = 0
+    with pytest.raises(ParameterError) as raised:
+        for _ in entry_stream(EnsembleSpec("gue"), 6, 10 * ensembles._DRAW_BLOCK,
+                              RngHandle(2, 0), [0], [1]):
+            seen += 1
+    assert raised.value is error
+    # every sample before the failing block came through
+    assert seen >= ensembles._DRAW_BLOCK
+    assert not pool_threads()
 
 
 def test_entry_stream_broadcasts_like_fancy_indexing():
@@ -270,7 +357,7 @@ def test_quartic_chain_refuses_sizes_before_its_gaussian_start(monkeypatch, n):
     def no_start(*args, **kwargs):
         raise AssertionError("the chain drew its Gaussian start")
 
-    monkeypatch.setattr(ensembles, "_wigner_matrix", no_start)
+    monkeypatch.setattr(ensembles, "sample", no_start)
     spec = EnsembleSpec("quartic_invariant", quartic_g=0.1)
     with pytest.raises(ParameterError, match="matrix size"):
         QuarticChain(spec, n, RngHandle(1, 0))

@@ -78,12 +78,15 @@ def test_tracer_counts_one_assembly_per_sampled_matrix(kind, monkeypatch):
         tracer.uninstall()
     assert HermitianMatrix.__dict__["from_upper"] is original
     summary = tracer.summary()
-    assert scatters == [(n,)] * samples
     if kind == "quartic_invariant":
-        # the chain's rotated matrices go through from_upper, which shares the scatter
+        # the chain's Gaussian start is one sampled matrix, and its rotated
+        # matrices go through from_upper, which shares the scatter
+        assert scatters == [(n,)] * (1 + samples)
         assert summary["counts"]["linalg.HermitianMatrix.from_upper"] == samples
+        assert summary["spans"]["ensembles.sample"][0] == 1
     else:
         # the entry-wise kinds scatter their draws with no N x N staging array
+        assert scatters == [(n,)] * samples
         assert "linalg.HermitianMatrix.from_upper" not in summary["counts"]
         assert summary["spans"]["ensembles.sample"][0] == samples
 
