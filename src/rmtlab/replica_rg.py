@@ -20,7 +20,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, inf
+from math import factorial, inf, prod
 
 from .graphs import (MAX_CANONICAL_EDGES, CapacityError, CumulantGraph, _union_roots, aut_order,
                      canonical_graph, canonical_graph_of)
@@ -474,63 +474,79 @@ def wick_oracle(spec: CumulantSpec, order: int,
     Expands exp(V0(X+Y)) around the Gaussian Y measure with propagator
     t * delta, keeps connected terms, and reassembles graphs from the
     uncontracted halves.  Independent of the flow rewrite; used to test it.
+
+    The m insertions of a t^k term run over multisets of classes, each
+    weighted by 1/prod(mult!): its m!/prod(mult!) orderings differ only by
+    a relabelling of slots.  A pattern joins k out-halves to k in-halves;
+    a choice of in-slots that leaves the insertions disconnected is
+    skipped before any in-half is chosen.  Patterns are tallied as integer
+    counts per (graph, loops, free vertices), and the ring arithmetic runs
+    once per tally.  ``truncation_events`` counts ordered patterns.
     """
     if order > MAX_WICK_ORDER:
         raise CapacityError(f"wick oracle limited to order {MAX_WICK_ORDER}")
+    if order < 0:
+        raise ValueError("wick order must be non-negative")
     base = initial_potential(spec, max_edges)
     classes = [(g, series[0]) for g, series in base.table.items() if series[0]]
     table: dict[CumulantGraph, list[RingElement]] = {
         g: series + [RingElement.zero()] * order for g, series in base.table.items()}
     vacuum = _zero_series(order)
     trunc: Counter = Counter()
+    # (m, out-slots, in-slots) -> whether those links join all m insertions
+    connected: dict[tuple, bool] = {}
 
     for k in range(1, order + 1):
         for m in range(1, k + 2):
-            pref_base = Fraction(1, factorial(m))
-            for combo in itertools.product(range(len(classes)), repeat=m):
-                pref = RingElement.scalar(pref_base)
+            for combo in itertools.combinations_with_replacement(range(len(classes)), m):
+                mult_weight = prod(factorial(c) for c in Counter(combo).values())
+                pref = RingElement.scalar(Fraction(1, mult_weight))
                 edges: list[tuple[int, int]] = []
                 insertion_of: list[int] = []
+                slot_edges: list[range] = []
                 offset = 0
                 for slot, ci in enumerate(combo):
                     g, w = classes[ci]
                     pref = pref * w
+                    slot_edges.append(range(len(edges), len(edges) + g.num_edges))
                     edges.extend((s + offset, t + offset) for s, t in g.edges)
                     insertion_of.extend([slot] * g.num_edges)
                     offset += g.num_vertices
-                total_edges = len(edges)
-                if total_edges < k or (m > 1 and k < m - 1):
-                    continue
-                for outs in itertools.combinations(range(total_edges), k):
-                    for ins in itertools.permutations(range(total_edges), k):
-                        contrib = _wick_pattern(edges, insertion_of, m, offset,
-                                                outs, ins)
-                        if contrib is None:
+                tally: Counter = Counter()
+                for outs in itertools.combinations(range(len(edges)), k):
+                    out_slots = tuple(insertion_of[e] for e in outs)
+                    for in_slots in itertools.product(range(m), repeat=k):
+                        key = (m, out_slots, in_slots)
+                        joined = connected.get(key)
+                        if joined is None:
+                            roots = _union_roots(m, zip(out_slots, in_slots))
+                            joined = connected[key] = len(set(roots)) == 1
+                        if not joined:
                             continue
-                        graph, n_loops, free_vertices = contrib
-                        coeff = pref
-                        for _ in range(n_loops):
-                            coeff = coeff * RingElement.n()
-                        if free_vertices:
-                            coeff = coeff.shift_N(2 * free_vertices)
-                        if graph is None:
-                            vacuum[k] = vacuum[k] + coeff
-                        elif graph.num_edges > max_edges:
-                            trunc[k, graph.num_edges] += 1
-                        else:
-                            series = _series(table, graph, order)
-                            series[k] = series[k] + coeff
+                        for ins in itertools.product(*(slot_edges[s] for s in in_slots)):
+                            if len(set(ins)) == k:
+                                tally[_wick_pattern(edges, offset, outs, ins)] += 1
+                orderings = factorial(m) // mult_weight
+                for (graph, n_loops, free_vertices), count in tally.items():
+                    if graph is not None and graph.num_edges > max_edges:
+                        trunc[k, graph.num_edges] += count * orderings
+                        continue
+                    coeff = pref.scale(count)
+                    for _ in range(n_loops):
+                        coeff = coeff * RingElement.n()
+                    if free_vertices:
+                        coeff = coeff.shift_N(2 * free_vertices)
+                    if graph is None:
+                        vacuum[k] = vacuum[k] + coeff
+                    else:
+                        series = _series(table, graph, order)
+                        series[k] = series[k] + coeff
     return FlowState(order, FREE_SUM, table, vacuum, max_edges, dict(trunc))
 
 
-def _wick_pattern(edges, insertion_of, m, num_vertices, outs, ins):
-    """Evaluate one contraction pattern; None if it is disconnected."""
+def _wick_pattern(edges, num_vertices, outs, ins):
+    """Evaluate one contraction pattern: (graph or None, loops, free vertices)."""
     nxt = dict(zip(outs, ins))
-    if m > 1:
-        slot_roots = _union_roots(m, ((insertion_of[e1], insertion_of[e2])
-                                      for e1, e2 in nxt.items()))
-        if len(set(slot_roots)) != 1:
-            return None
     vroot = _union_roots(num_vertices, ((edges[e1][0], edges[e2][1])
                                         for e1, e2 in nxt.items()))
 

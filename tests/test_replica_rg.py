@@ -1,13 +1,16 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from rmtlab.graphs import CapacityError, CumulantGraph, canonical_graph
+from rmtlab.graphs import CapacityError, CumulantGraph, _union_roots, canonical_graph
 from rmtlab.replica_rg import (DOUBLE_SELF_LOOP, TADPOLE, TWO_CYCLE, CumulantSpec,
-                               FlowInvariantError, FlowState, check_bounds_flow,
-                               extract_resolvent, initial_potential, integrate_flow,
-                               rg_derivative, to_distinct_basis, to_free_basis,
-                               wick_oracle, FREE_SUM)
+                               FlowInvariantError, FlowState, _series, _wick_pattern,
+                               _zero_series, check_bounds_flow, extract_resolvent,
+                               initial_potential, integrate_flow, rg_derivative,
+                               to_distinct_basis, to_free_basis, wick_oracle, FREE_SUM)
 from rmtlab.ring import RingElement
 
 SIGMA1 = CumulantSpec.gaussian_spec(Fraction(1))
@@ -194,9 +197,91 @@ def test_wick_equals_flow_perturbation_only():
     assert integrate_flow(initial_potential(spec), 2) == wick_oracle(spec, 2)
 
 
+def test_wick_equals_flow_order_three_with_sigma_variation():
+    spec = CumulantSpec.gaussian_spec(Fraction(1, 4))
+    assert integrate_flow(initial_potential(spec), 3) == wick_oracle(spec, 3)
+
+
+def test_wick_equals_flow_perturbation_only_order_three():
+    spec = CumulantSpec().with_perturbation(DOUBLE_EDGE, RingElement.scalar(Fraction(2, 3)))
+    assert integrate_flow(initial_potential(spec), 3) == wick_oracle(spec, 3)
+
+
 def test_wick_capacity():
     with pytest.raises(CapacityError):
         wick_oracle(SIGMA1, 4)
+
+
+def test_wick_refuses_negative_order():
+    with pytest.raises(ValueError, match="non-negative"):
+        wick_oracle(SIGMA1, -1)
+
+
+def ordered_wick_reference(spec: CumulantSpec, order: int, max_edges: int) -> FlowState:
+    """Brute-force Wick sum: every ordered tuple of m insertions with weight
+    1/m!, every injective pattern of k out-halves onto k in-halves, and one
+    ring update (or one tally) per connected pattern."""
+    base = initial_potential(spec, max_edges)
+    classes = [(g, series[0]) for g, series in base.table.items() if series[0]]
+    table = {g: series + [RingElement.zero()] * order for g, series in base.table.items()}
+    vacuum = _zero_series(order)
+    trunc = Counter()
+    for k in range(1, order + 1):
+        for m in range(1, k + 2):
+            for combo in itertools.product(range(len(classes)), repeat=m):
+                pref = RingElement.scalar(Fraction(1, factorial(m)))
+                edges, insertion_of, offset = [], [], 0
+                for slot, ci in enumerate(combo):
+                    g, w = classes[ci]
+                    pref = pref * w
+                    edges.extend((s + offset, t + offset) for s, t in g.edges)
+                    insertion_of.extend([slot] * g.num_edges)
+                    offset += g.num_vertices
+                for outs in itertools.combinations(range(len(edges)), k):
+                    for ins in itertools.permutations(range(len(edges)), k):
+                        links = ((insertion_of[e1], insertion_of[e2]) for e1, e2 in zip(outs, ins))
+                        if len(set(_union_roots(m, links))) != 1:
+                            continue
+                        graph, n_loops, free_vertices = _wick_pattern(edges, offset, outs, ins)
+                        coeff = pref
+                        for _ in range(n_loops):
+                            coeff = coeff * RingElement.n()
+                        coeff = coeff.shift_N(2 * free_vertices)
+                        if graph is None:
+                            vacuum[k] = vacuum[k] + coeff
+                        elif graph.num_edges > max_edges:
+                            trunc[k, graph.num_edges] += 1
+                        else:
+                            series = _series(table, graph, order)
+                            series[k] = series[k] + coeff
+    return FlowState(order, FREE_SUM, table, vacuum, max_edges, dict(trunc))
+
+
+# name -> (spec, number of insertion classes in the free-sum basis)
+WICK_REFERENCE_SPECS = {
+    "gaussian": (SIGMA1, 1),
+    "perturbation_only": (CumulantSpec().with_perturbation(
+        DOUBLE_EDGE, RingElement.scalar(Fraction(2, 3))), 2),
+    "perturbed": (SIGMA1.with_perturbation(DOUBLE_EDGE, RingElement.one()), 3),
+}
+
+
+@pytest.mark.parametrize("max_edges", [3, 6])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("name", sorted(WICK_REFERENCE_SPECS))
+def test_wick_equals_ordered_reference(name, order, max_edges):
+    spec, num_classes = WICK_REFERENCE_SPECS[name]
+    assert sum(1 for series in initial_potential(spec).table.values() if series[0]) == num_classes
+    wick = wick_oracle(spec, order, max_edges)
+    reference = ordered_wick_reference(spec, order, max_edges)
+    assert wick == reference
+    assert wick.vacuum == reference.vacuum
+    assert wick.truncation_events == reference.truncation_events
+
+
+def test_wick_tallies_ordered_patterns():
+    wick = wick_oracle(WICK_REFERENCE_SPECS["perturbed"][0], 2, max_edges=3)
+    assert wick.truncation_events == {(2, 4): 3888}
 
 
 # --- resolvent extraction -----------------------------------------------------------
