@@ -19,6 +19,11 @@ from .spectral import MAX_MOMENT_ORDER
 
 SCHEMA_VERSION = 1
 
+# Seeds must lie below 2**53: a Philox key goes through float64 for half of
+# all substreams (linalg._philox_key), so two larger seeds could draw the
+# same matrices.
+MAX_SEED = 2 ** 53
+
 _KNOWN_FIELDS = {
     "schema_version", "ensemble", "n_grid", "samples_per_n", "seed",
     "moment_orders", "graphs_to_scan", "histogram_bins", "histogram_range",
@@ -51,6 +56,8 @@ class ExperimentConfig:
             raise ConfigError("samples_per_n: must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed: must be non-negative")
+        if self.seed >= MAX_SEED:
+            raise ConfigError("seed: must be below 2**53")
         if not all(0 <= k <= MAX_MOMENT_ORDER for k in self.moment_orders):
             raise ConfigError(f"moment_orders: each order must lie in 0..{MAX_MOMENT_ORDER}")
         if self.histogram_bins < 1:

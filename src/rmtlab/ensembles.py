@@ -200,24 +200,42 @@ def _draw_entries(rng: RngHandle, dist: str, size: int) -> np.ndarray:
     raise ParameterError(f"unknown entry_dist {dist!r}")
 
 
+def _entry_dist(spec: EnsembleSpec) -> str:
+    """The law of the entry draws: GUE draws are Gaussian whatever
+    ``spec.entry_dist`` says."""
+    return "gaussian" if spec.kind == "gue" else spec.entry_dist
+
+
+def _entry_scales(spec: EnsembleSpec) -> tuple[float, float]:
+    """The scales of the off-diagonal real and imaginary parts and of the
+    diagonal."""
+    return spec.sigma / math.sqrt(2.0), math.sqrt(spec.diag_variance)
+
+
+def _scale_draws(values: np.ndarray, scale, factor: float) -> np.ndarray:
+    """``values`` scaled and then multiplied by ``factor``, elementwise and in
+    place; ``scale`` is a float or an array of them, one per value.  The one
+    scaling rule of sampled entries, so every path gets the same bits."""
+    values *= scale
+    if factor != 1.0:
+        values *= factor
+    return values
+
+
 def _draw_triangle(spec: EnsembleSpec, n: int, rng: RngHandle,
                    factor: float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The scaled draws of one matrix: the real and imaginary parts of the
     strict upper triangle, in ``np.triu_indices(n, k=1)`` order, then the
     diagonal; each scaled and then multiplied by ``factor``.
 
-    GUE draws use Gaussian entries whatever ``spec.entry_dist`` says."""
-    dist = "gaussian" if spec.kind == "gue" else spec.entry_dist
+    All n^2 of them come from one draw call, as views of its x | y | diag
+    buffer; consecutive calls would draw the same bits."""
     m = n * (n - 1) // 2
-    scale = spec.sigma / math.sqrt(2.0)
-    x = _draw_entries(rng, dist, m)
-    y = _draw_entries(rng, dist, m)
-    diag = _draw_entries(rng, dist, n)
-    for values, s in ((x, scale), (y, scale), (diag, math.sqrt(spec.diag_variance))):
-        values *= s
-        if factor != 1.0:
-            values *= factor
-    return x, y, diag
+    off, on = _entry_scales(spec)
+    draws = _draw_entries(rng, _entry_dist(spec), n * n)
+    _scale_draws(draws[:2 * m], off, factor)
+    _scale_draws(draws[2 * m:], on, factor)
+    return draws[:m], draws[m:2 * m], draws[2 * m:]
 
 
 def _draw_factor(spec: EnsembleSpec, n: int, rng: RngHandle) -> float | None:
@@ -259,8 +277,8 @@ def sample_stream(spec: EnsembleSpec, n: int, count: int, rng: RngHandle) -> Ite
             chain.run_sweeps(spec.metropolis.steps, adapt=False)
             yield chain.matrix()
         return
-    for s in range(count):
-        yield sample(spec, n, rng.substream(s))
+    for sub in rng.substreams(range(count)):
+        yield sample(spec, n, sub)
 
 
 def entry_stream(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
@@ -296,27 +314,36 @@ def _triangle_entries(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
     """``entry_stream`` for the entry-wise kinds, on checked indices.
 
     Blocks of ``_DRAW_BLOCK`` consecutive samples are drawn through
-    ``pool.ordered_map`` on the usable cores (no BLAS runs here), each
-    sample from its own substream, and yielded in stream order; so the
-    entries do not depend on the number of workers."""
+    ``pool.ordered_map`` on the usable cores (no BLAS runs here), each block
+    through its own ``rng.substreams``, and yielded in stream order; so the
+    entries do not depend on the number of workers.  Each sample makes the
+    draws ``sample`` makes, gathers the raw draws it reads and scales only
+    those, by the same rule."""
     r, c = rows.ravel(), cols.ravel()
     i, j = np.minimum(r, c), np.maximum(r, c)
+    m = n * (n - 1) // 2
     position = i * (2 * n - i - 1) // 2 + (j - i - 1)
-    above, below, on = r < c, r > c, r == c
-    p_above, p_below, d_on = position[above], position[below], r[on]
+    above = np.flatnonzero(r < c)
+    off_diagonal = np.concatenate([above, np.flatnonzero(r > c)])
+    # from the x | y | diag draw buffer: every real part, then the imaginary
+    # parts above and then below the diagonal; the diagonal's imaginary part is 0
+    gather = np.concatenate([np.where(r == c, 2 * m + r, position),
+                             m + position[off_diagonal]])
+    off, on = _entry_scales(spec)
+    scales = np.concatenate([np.where(r == c, on, off), np.full(off_diagonal.size, off)])
+    size, conjugated = r.size, r.size + above.size
+    dist = _entry_dist(spec)
 
     def draw_block(start: int) -> list[np.ndarray]:
         block = []
-        for s in range(start, min(start + _DRAW_BLOCK, count)):
-            sub = rng.substream(s)
+        for sub in rng.substreams(range(start, min(start + _DRAW_BLOCK, count))):
             g = _draw_factor(spec, n, sub)
-            x, y, diag = _draw_triangle(spec, n, sub, 1.0 if g is None else g)
-            out = np.zeros(rows.size, dtype=complex)
-            out.real[above] = x[p_above]
-            out.imag[above] = y[p_above]
-            out.real[below] = x[p_below]
-            out.imag[below] = np.negative(y[p_below])
-            out.real[on] = diag[d_on]
+            values = _scale_draws(_draw_entries(sub, dist, n * n)[gather], scales,
+                                  1.0 if g is None else g)
+            np.negative(values[conjugated:], out=values[conjugated:])
+            out = np.zeros(size, dtype=complex)
+            out.real = values[:size]
+            out.imag[off_diagonal] = values[size:]
             block.append(out.reshape(rows.shape))
         return block
 
@@ -502,7 +529,7 @@ _FLOAT = _Scalars(math.sqrt, lambda n, alpha: float(n) ** -alpha, lambda k: 1j *
 
 def _entry_cumulant(spec: EnsembleSpec, edges: list, n: int | None, scalars: _Scalars):
     """Joint cumulant of the entries at ``edges``, in ``scalars``."""
-    dist = "gaussian" if spec.kind == "gue" else spec.entry_dist
+    dist = _entry_dist(spec)
 
     def w_cumulant(block) -> object:
         """Joint cumulant of entries of the independent-entry draw W."""

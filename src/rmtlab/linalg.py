@@ -4,14 +4,16 @@ Randomness comes from numpy's Philox counter-based generator keyed by a
 (seed, stream) pair, so identical keys reproduce identical sequences on any
 platform.  Sub-streams are derived with a splitmix64 finalizer (constants
 0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9, 0x94d049bb133111eb), which keeps
-independently derived streams decorrelated.
+independently derived streams decorrelated.  Philox is counter-based
+(Salmon et al., SC 2011), so a generator re-keyed with its counter at zero
+draws exactly what a fresh one with that key draws.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,11 +29,21 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _philox_key(seed: int, stream: int) -> np.ndarray:
+    """The Philox key of the stream (seed, stream): what numpy derives from
+    ``Philox(key=[seed, stream])``.
+
+    The list goes through ``np.asarray``, which makes it float64 when either
+    value is at least 2**63, so such a key holds both values rounded to 53
+    bits.  That rounding is kept: every stream draws the bytes it always has."""
+    return np.asarray([seed, stream]).astype(np.uint64)
+
+
 class RngHandle:
     """Deterministic random stream identified by (seed, stream).
 
     The handle owns its draw position; derive a fresh handle per concurrent
-    task with :meth:`substream` instead of sharing one.
+    task with :meth:`substream` or :meth:`substreams` instead of sharing one.
     """
 
     __slots__ = ("seed", "stream", "_gen")
@@ -39,14 +51,38 @@ class RngHandle:
     def __init__(self, seed: int, stream: int = 0):
         self.seed = seed & _MASK64
         self.stream = stream & _MASK64
-        self._gen = np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
+        self._gen = np.random.Generator(np.random.Philox(key=_philox_key(self.seed, self.stream)))
 
-    def substream(self, *ids: int) -> "RngHandle":
-        """Child handle with a stream id mixed from this stream and ``ids``."""
+    def _child_stream(self, ids: Iterable[int]) -> int:
         s = self.stream
         for i in ids:
             s = _splitmix64(s ^ ((i + 1) & _MASK64))
-        return RngHandle(self.seed, s)
+        return s
+
+    def substream(self, *ids: int) -> "RngHandle":
+        """Child handle with a stream id mixed from this stream and ``ids``."""
+        return RngHandle(self.seed, self._child_stream(ids))
+
+    def substreams(self, ids: Iterable[int]) -> Iterator["RngHandle"]:
+        """For each of ``ids``, a handle that draws what ``self.substream(id)``
+        draws.
+
+        The handles share one Philox generator, re-keyed for each id through
+        its ``state`` setter with a zero counter and an empty buffer, which
+        is what a fresh generator holds.  So a handle is valid only until the
+        next one is yielded, and only on the thread that iterates; a task on
+        another thread takes its own ``substreams``."""
+        gen = np.random.Generator(np.random.Philox(0))
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": np.zeros(4, np.uint64), "key": None},
+                 "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        for i in ids:
+            child = RngHandle.__new__(RngHandle)
+            child.seed, child.stream, child._gen = self.seed, self._child_stream((i,)), gen
+            state["state"]["key"] = _philox_key(child.seed, child.stream)
+            gen.bit_generator.state = state
+            yield child
 
     def normals(self, size=None) -> np.ndarray:
         return self._gen.standard_normal(size)

@@ -83,6 +83,23 @@ def test_empty_n_grid_rejected(tmp_path):
         assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("seed", [2 ** 53, 2 ** 53 + 1, 2 ** 64])
+@pytest.mark.parametrize("command", ["sample", "moments", "cumulant-scan"])
+def test_seed_at_or_above_2_pow_53_exits_2_before_making_the_output_directory(
+        tmp_path, capsys, command, seed):
+    # such seeds would share Philox keys: 2**53 and 2**53 + 1 on half of the
+    # substreams, 0 and 2**64 on all of them
+    doc = dict(GUE_DOC, n_grid=[4, 6, 8], samples_per_n=3, graphs_to_scan=["v=2;e=0->1,1->0"])
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--seed", str(seed), "--out", str(out)]) == 2
+    assert "seed: must be below 2**53" in capsys.readouterr().err
+    assert not out.exists()
+    # the largest seed accepted still runs
+    assert main([command, "--config", str(cfg), "--seed", str(2 ** 53 - 1),
+                 "--out", str(out)]) == 0
+
+
 def test_moments_csv(tmp_path):
     doc = dict(GUE_DOC, n_grid=[16], samples_per_n=4, moment_orders=[2, 3, 4])
     cfg = write_config(tmp_path, doc)

@@ -202,23 +202,39 @@ def parent_sample(spec: EnsembleSpec, n: int, rng: RngHandle) -> np.ndarray:
     return full
 
 
+SAMPLE_SPECS = {
+    "gue": EnsembleSpec("gue"), "gue_sigma0.7": EnsembleSpec("gue", sigma=0.7),
+    **{d: EnsembleSpec("wigner", entry_dist=d)
+       for d in ("gaussian", "rademacher", "uniform", "centered_exponential")},
+    "common_factor": EnsembleSpec("common_factor"),
+    "damped_alpha1": EnsembleSpec("damped_common_factor", damping_alpha=1.0),
+    "damped_alpha0.5": EnsembleSpec("damped_common_factor", damping_alpha=0.5),
+    "diag_var0.25": EnsembleSpec("wigner", entry_dist="uniform", diagonal_variance=0.25),
+    "common_factor_diag_var0": EnsembleSpec("common_factor", diagonal_variance=0.0),
+}
+
+
 @pytest.mark.parametrize("n", [1, 2, 33, 128])
-@pytest.mark.parametrize("spec", [
-    EnsembleSpec("gue"), EnsembleSpec("gue", sigma=0.7),
-    *(EnsembleSpec("wigner", entry_dist=d)
-      for d in ("gaussian", "rademacher", "uniform", "centered_exponential")),
-    EnsembleSpec("common_factor"),
-    EnsembleSpec("damped_common_factor", damping_alpha=1.0),
-    EnsembleSpec("damped_common_factor", damping_alpha=0.5),
-    EnsembleSpec("wigner", entry_dist="uniform", diagonal_variance=0.25),
-    EnsembleSpec("common_factor", diagonal_variance=0.0)],
-    ids=["gue", "gue_sigma0.7", "gaussian", "rademacher", "uniform", "centered_exponential",
-         "common_factor", "damped_alpha1", "damped_alpha0.5", "diag_var0.25",
-         "common_factor_diag_var0"])
+@pytest.mark.parametrize("spec", SAMPLE_SPECS.values(), ids=SAMPLE_SPECS)
 def test_sample_bytes_match_parent_assembly(spec, n):
     for s in range(3):
         got = sample(spec, n, RngHandle(53, s))
         assert got.data.tobytes() == parent_sample(spec, n, RngHandle(53, s)).tobytes()
+
+
+@pytest.mark.parametrize("spec", SAMPLE_SPECS.values(), ids=SAMPLE_SPECS)
+def test_streams_above_2_pow_63_match_a_fresh_handle_reference(spec):
+    # sample_stream and entry_stream key their handles through the rule they
+    # share; only a fresh handle, drawn the earlier way, can catch a wrong key
+    n, rng = 7, RngHandle(53, 9)
+    s = next(s for s in itertools.count() if rng.substream(s).stream >= 2 ** 63)
+    assert rng.substream(s).stream % 2 ** 11  # its key is rounded through float64
+    want = parent_sample(spec, n, rng.substream(s)).tobytes()
+    *_, matrix = sample_stream(spec, n, s + 1, rng)
+    assert matrix.data.tobytes() == want
+    rows, cols = np.indices((n, n))
+    *_, entries = entry_stream(spec, n, s + 1, rng, rows, cols)
+    assert entries.tobytes() == want
 
 
 # above, on and below the diagonal, with repeats
@@ -281,14 +297,15 @@ def test_entry_stream_bytes_do_not_depend_on_the_workers(monkeypatch, spec, n):
 
 def test_entry_stream_draws_each_block_on_a_pool_thread(monkeypatch):
     monkeypatch.setattr(ensembles, "usable_cores", lambda: 2)
-    draw = ensembles._draw_triangle
+    draw = ensembles._draw_entries
     threads = []
 
     def traced(*args):
         threads.append(threading.current_thread().name)
         return draw(*args)
 
-    monkeypatch.setattr(ensembles, "_draw_triangle", traced)
+    # one draw call per sample
+    monkeypatch.setattr(ensembles, "_draw_entries", traced)
     spec = EnsembleSpec("gue")
     # a scan that fits one block runs inline, as the tracer's small scans do
     list(entry_stream(spec, 6, ensembles._DRAW_BLOCK, RngHandle(2, 0), [0], [1]))
@@ -311,7 +328,7 @@ def test_entry_stream_closed_early_leaves_no_thread(monkeypatch):
 
 def test_entry_stream_draw_error_reaches_the_caller_unchanged(monkeypatch):
     monkeypatch.setattr(ensembles, "usable_cores", lambda: 2)
-    draw = ensembles._draw_triangle
+    draw = ensembles._draw_entries
     error = ParameterError("draw failed")
     calls = []
 
@@ -321,7 +338,7 @@ def test_entry_stream_draw_error_reaches_the_caller_unchanged(monkeypatch):
             raise error
         return draw(*args)
 
-    monkeypatch.setattr(ensembles, "_draw_triangle", failing)
+    monkeypatch.setattr(ensembles, "_draw_entries", failing)
     seen = 0
     with pytest.raises(ParameterError) as raised:
         for _ in entry_stream(EnsembleSpec("gue"), 6, 10 * ensembles._DRAW_BLOCK,

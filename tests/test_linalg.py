@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rmtlab.linalg import (HermitianMatrix, RngHandle, eigenvalues_hermitian,
+from rmtlab.linalg import (HermitianMatrix, RngHandle, _philox_key, eigenvalues_hermitian,
                            gaussian_complex, standard_complex_normals)
 
 
@@ -224,3 +224,41 @@ def test_substreams_reproducible_and_decorrelated():
     y = other.normals(1000)
     corr = float(np.corrcoef(x, y)[0, 1])
     assert abs(corr) < 0.12  # ~3.8 sigma band for independent streams
+
+
+@pytest.mark.parametrize("seed, stream", [
+    (5, 3), (0, 2 ** 63 - 1), (5, 2 ** 63), (5, 2 ** 63 + 12345), (2 ** 53 - 1, 2 ** 64 - 2049),
+    (2 ** 63 + 7, 3)])
+def test_philox_key_is_what_numpy_derives_from_the_pair(seed, stream):
+    # a pair with a value of at least 2**63 goes through float64, rounding to 53 bits
+    want = np.random.Philox(key=[seed, stream]).state["state"]["key"]
+    got = _philox_key(seed, stream)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert RngHandle(seed, stream)._gen.bit_generator.state["state"]["key"].tobytes() \
+        == want.tobytes()
+
+
+def draw_all(handle: RngHandle, i: int) -> list[bytes]:
+    """Draws of every kind, a number that varies with ``i``."""
+    out = [handle.normals(i % 5 + 1).tobytes(), handle.uniform(i % 3 + 1).tobytes(),
+           np.float64(handle.normals()).tobytes(), np.float64(handle.uniform()).tobytes(),
+           bytes([handle.choice_index([0.2, 0.3, 0.5])])]
+    return out + [handle.normals(i % 7).tobytes()]
+
+
+@pytest.mark.parametrize("seed", [99, 2 ** 53 - 1])
+def test_substreams_draw_what_fresh_substreams_draw(seed):
+    base = RngHandle(seed, 4)
+    ids = [0, 1, 2, 7, 3, 1000, 2 ** 40, 5, 6, 8, 9, 10, 11, 12]
+    mid_buffer = []
+    streams = []
+    for i, handle in zip(ids, base.substreams(ids)):
+        fresh = base.substream(i)
+        assert (handle.seed, handle.stream) == (fresh.seed, fresh.stream)
+        streams.append(handle.stream)
+        assert draw_all(handle, i) == draw_all(fresh, i)
+        # the next handle is keyed after this one stopped, often inside a Philox buffer
+        mid_buffer.append(handle._gen.bit_generator.state["buffer_pos"] != 4)
+    assert any(mid_buffer[:-1])
+    # streams on both sides of 2**63, where the key goes through float64
+    assert min(streams) < 2 ** 63 <= max(streams)

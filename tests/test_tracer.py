@@ -104,11 +104,11 @@ def test_tracer_sees_the_scan_make_the_sampler_draws_without_assembly(kind):
     summary = tracer.summary()
     assert "linalg.HermitianMatrix.from_upper" not in summary["counts"]
     assert "ensembles.sample" not in summary["spans"]
-    # per matrix: one substream, one factor draw for the factor kinds, then x, y and
-    # the diagonal; plus one substream per N
+    # per matrix: one factor draw for the factor kinds, then one draw of x | y | diag;
+    # one substream per N, whose matrices come from a re-keyed generator
     matrices = len(n_grid) * samples
-    assert summary["counts"]["linalg.RngHandle.draws"] == (3 if kind == "gue" else 4) * matrices
-    assert summary["counts"]["linalg.RngHandle.substreams"] == matrices + len(n_grid)
+    assert summary["counts"]["linalg.RngHandle.draws"] == (1 if kind == "gue" else 2) * matrices
+    assert summary["counts"]["linalg.RngHandle.substreams"] == len(n_grid)
 
 
 def test_tracer_counts_one_partition_sum_per_index_pattern():
