@@ -206,36 +206,22 @@ def _entry_dist(spec: EnsembleSpec) -> str:
     return "gaussian" if spec.kind == "gue" else spec.entry_dist
 
 
-def _entry_scales(spec: EnsembleSpec) -> tuple[float, float]:
-    """The scales of the off-diagonal real and imaginary parts and of the
-    diagonal."""
-    return spec.sigma / math.sqrt(2.0), math.sqrt(spec.diag_variance)
-
-
-def _scale_draws(values: np.ndarray, scale, factor: float) -> np.ndarray:
-    """``values`` scaled and then multiplied by ``factor``, elementwise and in
-    place; ``scale`` is a float or an array of them, one per value.  The one
-    scaling rule of sampled entries, so every path gets the same bits."""
-    values *= scale
-    if factor != 1.0:
-        values *= factor
-    return values
-
-
 def _draw_triangle(spec: EnsembleSpec, n: int, rng: RngHandle,
-                   factor: float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The scaled draws of one matrix: the real and imaginary parts of the
-    strict upper triangle, in ``np.triu_indices(n, k=1)`` order, then the
-    diagonal; each scaled and then multiplied by ``factor``.
+                   factor: float = 1.0) -> np.ndarray:
+    """The scaled draws of one matrix in one x | y | diag buffer: the real
+    and then the imaginary parts of the strict upper triangle, each in
+    ``np.triu_indices(n, k=1)`` order, then the diagonal; each scaled and
+    then multiplied by ``factor``.
 
-    All n^2 of them come from one draw call, as views of its x | y | diag
-    buffer; consecutive calls would draw the same bits."""
+    All n^2 of them come from one draw call; consecutive calls would draw
+    the same bits."""
     m = n * (n - 1) // 2
-    off, on = _entry_scales(spec)
     draws = _draw_entries(rng, _entry_dist(spec), n * n)
-    _scale_draws(draws[:2 * m], off, factor)
-    _scale_draws(draws[2 * m:], on, factor)
-    return draws[:m], draws[m:2 * m], draws[2 * m:]
+    draws[:2 * m] *= spec.sigma / math.sqrt(2.0)
+    draws[2 * m:] *= math.sqrt(spec.diag_variance)
+    if factor != 1.0:
+        draws *= factor
+    return draws
 
 
 def _draw_factor(spec: EnsembleSpec, n: int, rng: RngHandle) -> float | None:
@@ -264,8 +250,9 @@ def sample(spec: EnsembleSpec, n: int, rng: RngHandle) -> HermitianMatrix:
         return next(sample_stream(spec, n, 1, rng))
     g = _draw_factor(spec, n, rng)
     meta = {"kind": spec.kind} if g is None else {"kind": spec.kind, "factor": g}
-    return HermitianMatrix.from_triangle(*_draw_triangle(spec, n, rng, 1.0 if g is None else g),
-                                         meta)
+    draws = _draw_triangle(spec, n, rng, 1.0 if g is None else g)
+    m = n * (n - 1) // 2
+    return HermitianMatrix.from_triangle(draws[:m], draws[m:2 * m], draws[2 * m:], meta)
 
 
 def sample_stream(spec: EnsembleSpec, n: int, count: int, rng: RngHandle) -> Iterator[HermitianMatrix]:
@@ -277,7 +264,7 @@ def sample_stream(spec: EnsembleSpec, n: int, count: int, rng: RngHandle) -> Ite
             chain.run_sweeps(spec.metropolis.steps, adapt=False)
             yield chain.matrix()
         return
-    for sub in rng.substreams(range(count)):
+    for sub in rng.rekeyed_substreams(range(count)):
         yield sample(spec, n, sub)
 
 
@@ -315,31 +302,27 @@ def _triangle_entries(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
 
     Blocks of ``_DRAW_BLOCK`` consecutive samples are drawn through
     ``pool.ordered_map`` on the usable cores (no BLAS runs here), each block
-    through its own ``rng.substreams``, and yielded in stream order; so the
-    entries do not depend on the number of workers.  Each sample makes the
-    draws ``sample`` makes, gathers the raw draws it reads and scales only
-    those, by the same rule."""
+    through its own ``rng.rekeyed_substreams``, and yielded in stream order;
+    so the entries do not depend on the number of workers.  Each sample
+    makes the draws ``sample`` makes and gathers the entries it reads from
+    their x | y | diag buffer."""
     r, c = rows.ravel(), cols.ravel()
     i, j = np.minimum(r, c), np.maximum(r, c)
     m = n * (n - 1) // 2
     position = i * (2 * n - i - 1) // 2 + (j - i - 1)
     above = np.flatnonzero(r < c)
     off_diagonal = np.concatenate([above, np.flatnonzero(r > c)])
-    # from the x | y | diag draw buffer: every real part, then the imaginary
-    # parts above and then below the diagonal; the diagonal's imaginary part is 0
+    # every real part, then the imaginary parts above and then below the
+    # diagonal, whose sign flips; the diagonal's imaginary part is 0
     gather = np.concatenate([np.where(r == c, 2 * m + r, position),
                              m + position[off_diagonal]])
-    off, on = _entry_scales(spec)
-    scales = np.concatenate([np.where(r == c, on, off), np.full(off_diagonal.size, off)])
     size, conjugated = r.size, r.size + above.size
-    dist = _entry_dist(spec)
 
     def draw_block(start: int) -> list[np.ndarray]:
         block = []
-        for sub in rng.substreams(range(start, min(start + _DRAW_BLOCK, count))):
+        for sub in rng.rekeyed_substreams(range(start, min(start + _DRAW_BLOCK, count))):
             g = _draw_factor(spec, n, sub)
-            values = _scale_draws(_draw_entries(sub, dist, n * n)[gather], scales,
-                                  1.0 if g is None else g)
+            values = _draw_triangle(spec, n, sub, 1.0 if g is None else g)[gather]
             np.negative(values[conjugated:], out=values[conjugated:])
             out = np.zeros(size, dtype=complex)
             out.real = values[:size]

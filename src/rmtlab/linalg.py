@@ -43,7 +43,7 @@ class RngHandle:
     """Deterministic random stream identified by (seed, stream).
 
     The handle owns its draw position; derive a fresh handle per concurrent
-    task with :meth:`substream` or :meth:`substreams` instead of sharing one.
+    task with :meth:`substream` or :meth:`rekeyed_substreams` instead of sharing one.
     """
 
     __slots__ = ("seed", "stream", "_gen")
@@ -63,7 +63,7 @@ class RngHandle:
         """Child handle with a stream id mixed from this stream and ``ids``."""
         return RngHandle(self.seed, self._child_stream(ids))
 
-    def substreams(self, ids: Iterable[int]) -> Iterator["RngHandle"]:
+    def rekeyed_substreams(self, ids: Iterable[int]) -> Iterator["RngHandle"]:
         """For each of ``ids``, a handle that draws what ``self.substream(id)``
         draws.
 
@@ -71,18 +71,26 @@ class RngHandle:
         its ``state`` setter with a zero counter and an empty buffer, which
         is what a fresh generator holds.  So a handle is valid only until the
         next one is yielded, and only on the thread that iterates; a task on
-        another thread takes its own ``substreams``."""
+        another thread takes its own ``rekeyed_substreams``.  Each handle is
+        detached when the next is keyed, and the last when ``ids`` run out,
+        so a draw from a stale handle raises instead of drawing another
+        stream."""
         gen = np.random.Generator(np.random.Philox(0))
         state = {"bit_generator": "Philox",
                  "state": {"counter": np.zeros(4, np.uint64), "key": None},
                  "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
                  "has_uint32": 0, "uinteger": 0}
+        child = None
         for i in ids:
+            if child is not None:
+                child._gen = None
             child = RngHandle.__new__(RngHandle)
             child.seed, child.stream, child._gen = self.seed, self._child_stream((i,)), gen
             state["state"]["key"] = _philox_key(child.seed, child.stream)
             gen.bit_generator.state = state
             yield child
+        if child is not None:
+            child._gen = None
 
     def normals(self, size=None) -> np.ndarray:
         return self._gen.standard_normal(size)

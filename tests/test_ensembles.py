@@ -151,7 +151,8 @@ def test_common_factor_scales_whole_matrix():
     # replay the draw order: one factor draw, then the unscaled triangle
     rng = RngHandle(77, 0)
     rng.choice_index([float(w) for w in spec.factor_dist.weights])
-    w = HermitianMatrix.from_triangle(*(values * g for values in _draw_triangle(spec, 6, rng)))
+    draws = _draw_triangle(spec, 6, rng) * g  # x | y | diag, 15 + 15 + 6
+    w = HermitianMatrix.from_triangle(draws[:15], draws[15:30], draws[30:])
     assert np.array_equal(m.data, w.data)
 
 
@@ -297,15 +298,14 @@ def test_entry_stream_bytes_do_not_depend_on_the_workers(monkeypatch, spec, n):
 
 def test_entry_stream_draws_each_block_on_a_pool_thread(monkeypatch):
     monkeypatch.setattr(ensembles, "usable_cores", lambda: 2)
-    draw = ensembles._draw_entries
+    draw = ensembles._draw_triangle
     threads = []
 
     def traced(*args):
         threads.append(threading.current_thread().name)
         return draw(*args)
 
-    # one draw call per sample
-    monkeypatch.setattr(ensembles, "_draw_entries", traced)
+    monkeypatch.setattr(ensembles, "_draw_triangle", traced)
     spec = EnsembleSpec("gue")
     # a scan that fits one block runs inline, as the tracer's small scans do
     list(entry_stream(spec, 6, ensembles._DRAW_BLOCK, RngHandle(2, 0), [0], [1]))
@@ -328,7 +328,7 @@ def test_entry_stream_closed_early_leaves_no_thread(monkeypatch):
 
 def test_entry_stream_draw_error_reaches_the_caller_unchanged(monkeypatch):
     monkeypatch.setattr(ensembles, "usable_cores", lambda: 2)
-    draw = ensembles._draw_entries
+    draw = ensembles._draw_triangle
     error = ParameterError("draw failed")
     calls = []
 
@@ -338,7 +338,7 @@ def test_entry_stream_draw_error_reaches_the_caller_unchanged(monkeypatch):
             raise error
         return draw(*args)
 
-    monkeypatch.setattr(ensembles, "_draw_entries", failing)
+    monkeypatch.setattr(ensembles, "_draw_triangle", failing)
     seen = 0
     with pytest.raises(ParameterError) as raised:
         for _ in entry_stream(EnsembleSpec("gue"), 6, 10 * ensembles._DRAW_BLOCK,

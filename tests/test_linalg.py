@@ -247,12 +247,12 @@ def draw_all(handle: RngHandle, i: int) -> list[bytes]:
 
 
 @pytest.mark.parametrize("seed", [99, 2 ** 53 - 1])
-def test_substreams_draw_what_fresh_substreams_draw(seed):
+def test_rekeyed_substreams_draw_what_fresh_substreams_draw(seed):
     base = RngHandle(seed, 4)
     ids = [0, 1, 2, 7, 3, 1000, 2 ** 40, 5, 6, 8, 9, 10, 11, 12]
     mid_buffer = []
     streams = []
-    for i, handle in zip(ids, base.substreams(ids)):
+    for i, handle in zip(ids, base.rekeyed_substreams(ids)):
         fresh = base.substream(i)
         assert (handle.seed, handle.stream) == (fresh.seed, fresh.stream)
         streams.append(handle.stream)
@@ -262,3 +262,21 @@ def test_substreams_draw_what_fresh_substreams_draw(seed):
     assert any(mid_buffer[:-1])
     # streams on both sides of 2**63, where the key goes through float64
     assert min(streams) < 2 ** 63 <= max(streams)
+
+
+def test_rekeyed_substreams_detach_each_handle_when_the_next_is_keyed():
+    base = RngHandle(99, 4)
+    handles = base.rekeyed_substreams([0, 1])
+    first = next(handles)
+    first.normals(3)
+    second = next(handles)
+    with pytest.raises(AttributeError):
+        first.normals(3)
+    assert second.normals(3).tobytes() == base.substream(1).normals(3).tobytes()
+    assert next(handles, None) is None
+    with pytest.raises(AttributeError):
+        second.uniform()
+    # a list keeps only stale handles
+    for handle in list(base.rekeyed_substreams(range(3))):
+        with pytest.raises(AttributeError):
+            handle.choice_index([0.5, 0.5])
