@@ -185,6 +185,12 @@ def cmd_cumulant_scan(config: ExperimentConfig, out_dir: Path) -> int:
     for g in graphs:
         if g.num_edges > 4:
             raise ConfigError(f"graphs_to_scan: {g.to_text()} has more than 4 edges")
+        # n_grid ascends, so its first size is the smallest
+        if config.n_grid[0] < g.num_vertices:
+            raise ConfigError(f"n_grid: size {config.n_grid[0]} is too small for the "
+                              f"{g.num_vertices}-vertex graph {g.to_text()}")
+    if config.samples_per_n < 3:
+        raise ConfigError("samples_per_n: cumulant-scan needs at least 3 for a jackknife error")
     with OutputLock(out_dir):
         rng = RngHandle(config.seed, 0)
         text = io.StringIO()

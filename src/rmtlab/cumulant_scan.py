@@ -1,8 +1,8 @@
 """Empirical joint cumulants of matrix entries across an N grid.
 
 For a cumulant graph the estimator reads one entry per edge at disjoint
-index tuples, straight from each sample's draws (``entry_stream``, no
-N x N assembly), averages the subset products per sample, inverts sample
+index tuples, drawing only those entries of each sample (``entry_stream``,
+no N x N assembly), averages the subset products per sample, inverts sample
 moments into a cumulant (k-statistics via the partition Moebius formula)
 and attaches a delete-one jackknife standard error.
 """
@@ -74,7 +74,9 @@ def estimate_entry_cumulant(spec: EnsembleSpec, graph: CumulantGraph, n: int,
         prod = gathered[:, 0]
         for j in range(1, e):
             prod = prod * gathered[:, j]
-        per_sample[:, s_idx] = prod.mean(axis=1)
+        per_sample[:, s_idx] = prod.sum(axis=1)
+    # the per-sample means, in one division: the bits of prod.mean(axis=1)
+    per_sample /= tuples
 
     sums = per_sample.sum(axis=1)
     # leave-one-out means, written over the per-sample means

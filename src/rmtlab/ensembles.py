@@ -8,7 +8,6 @@ diagonal variance sigma^2 by default (configurable).
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
@@ -23,7 +22,6 @@ from .exactvalues import ENTRY_DISTS, InexactValue
 from .graphs import CumulantGraph
 from .linalg import MAX_MATRIX_SIZE, HermitianMatrix, RngHandle, standard_complex_normals
 from .partitions import cumulants_from_moments, moments_from_cumulants
-from .pool import ordered_map, usable_cores
 
 KINDS = ("gue", "wigner", "common_factor", "damped_common_factor", "quartic_invariant")
 
@@ -206,19 +204,20 @@ def _entry_dist(spec: EnsembleSpec) -> str:
     return "gaussian" if spec.kind == "gue" else spec.entry_dist
 
 
-def _draw_triangle(spec: EnsembleSpec, n: int, rng: RngHandle,
+def _draw_triangle(spec: EnsembleSpec, rng: RngHandle, pairs: int, diagonal: int,
                    factor: float = 1.0) -> np.ndarray:
-    """The scaled draws of one matrix in one x | y | diag buffer: the real
-    and then the imaginary parts of the strict upper triangle, each in
-    ``np.triu_indices(n, k=1)`` order, then the diagonal; each scaled and
-    then multiplied by ``factor``.
+    """The scaled draws of ``pairs`` off-diagonal and ``diagonal`` diagonal
+    entries in one x | y | diag buffer: the real parts of the pairs, then
+    their imaginary parts, then the diagonal; each scaled and then
+    multiplied by ``factor``.
 
-    All n^2 of them come from one draw call; consecutive calls would draw
-    the same bits."""
-    m = n * (n - 1) // 2
-    draws = _draw_entries(rng, _entry_dist(spec), n * n)
-    draws[:2 * m] *= spec.sigma / math.sqrt(2.0)
-    draws[2 * m:] *= math.sqrt(spec.diag_variance)
+    All 2 pairs + diagonal of them come from one draw call; consecutive
+    calls would draw the same bits.  A whole matrix is the n(n - 1)/2 pairs
+    of the strict upper triangle, in ``np.triu_indices(n, k=1)`` order, and
+    the n diagonal entries."""
+    draws = _draw_entries(rng, _entry_dist(spec), 2 * pairs + diagonal)
+    draws[:2 * pairs] *= spec.sigma / math.sqrt(2.0)
+    draws[2 * pairs:] *= math.sqrt(spec.diag_variance)
     if factor != 1.0:
         draws *= factor
     return draws
@@ -250,8 +249,8 @@ def sample(spec: EnsembleSpec, n: int, rng: RngHandle) -> HermitianMatrix:
         return next(sample_stream(spec, n, 1, rng))
     g = _draw_factor(spec, n, rng)
     meta = {"kind": spec.kind} if g is None else {"kind": spec.kind, "factor": g}
-    draws = _draw_triangle(spec, n, rng, 1.0 if g is None else g)
     m = n * (n - 1) // 2
+    draws = _draw_triangle(spec, rng, m, n, 1.0 if g is None else g)
     return HermitianMatrix.from_triangle(draws[:m], draws[m:2 * m], draws[2 * m:], meta)
 
 
@@ -270,16 +269,21 @@ def sample_stream(spec: EnsembleSpec, n: int, count: int, rng: RngHandle) -> Ite
 
 def entry_stream(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
                  rows, cols) -> Iterator[np.ndarray]:
-    """``M_s[rows, cols]`` for the s-th matrix ``M_s`` of
-    ``sample_stream(spec, n, count, rng)``, bit for bit.
+    """``M_s[rows, cols]`` for ``count`` samples ``M_s`` of the ensemble: for
+    each sample, the entries at ``rows, cols`` (integers in [0, n),
+    broadcast together), as ``sample_stream`` would give them.
 
-    The entry-wise kinds make the same draws on the same substreams and read
-    each entry straight from them, with no N x N assembly: ``x + iy`` at
-    triangle position p(i, j) above the diagonal, its conjugate below, and
-    the real diagonal draw on it.  The unitarily invariant quartic kind has
-    no entry-wise law and reads its assembled matrices.  The size and the
-    indices (integers in [0, n), broadcast together) are checked when the
-    stream is made."""
+    The entry-wise kinds draw only the entries read, with no N x N
+    assembly.  Sample s takes substream s, as ``sample_stream`` does, draws
+    the factor of a common-factor kind and then ``_draw_triangle`` over the
+    distinct upper-triangle positions read (in ``np.triu_indices(n, k=1)``
+    order) and the distinct diagonal indices read (ascending): ``sample``'s
+    buffer restricted to what is read.  ``x + iy`` goes above the diagonal,
+    its conjugate below, and the real diagonal draw on it.  A read of every
+    entry is therefore ``sample_stream`` bit for bit; a read of fewer has
+    the same joint law but other bytes.  The unitarily invariant quartic
+    kind has no entry-wise law and reads its assembled matrices.  The size
+    and the indices are checked when the stream is made."""
     _check_matrix_size(n)
     rows, cols = np.broadcast_arrays(np.asarray(rows), np.asarray(cols))
     if not (np.issubdtype(rows.dtype, np.integer) and np.issubdtype(cols.dtype, np.integer)):
@@ -291,50 +295,34 @@ def entry_stream(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
     return _triangle_entries(spec, n, count, rng, rows, cols)
 
 
-# Samples per task of ``_triangle_entries``; blocks of 8 to 375 samples
-# timed the same on a 1500-sample scan.
-_DRAW_BLOCK = 64
-
-
 def _triangle_entries(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
                       rows: np.ndarray, cols: np.ndarray) -> Iterator[np.ndarray]:
-    """``entry_stream`` for the entry-wise kinds, on checked indices.
-
-    Blocks of ``_DRAW_BLOCK`` consecutive samples are drawn through
-    ``pool.ordered_map`` on the usable cores (no BLAS runs here), each block
-    through its own ``rng.rekeyed_substreams``, and yielded in stream order;
-    so the entries do not depend on the number of workers.  Each sample
-    makes the draws ``sample`` makes and gathers the entries it reads from
-    their x | y | diag buffer."""
-    r, c = rows.ravel(), cols.ravel()
-    i, j = np.minimum(r, c), np.maximum(r, c)
-    m = n * (n - 1) // 2
-    position = i * (2 * n - i - 1) // 2 + (j - i - 1)
-    above = np.flatnonzero(r < c)
-    off_diagonal = np.concatenate([above, np.flatnonzero(r > c)])
+    """``entry_stream`` for the entry-wise kinds, on checked indices."""
+    r, c = rows.ravel().astype(np.intp), cols.ravel().astype(np.intp)
+    above, below, on = np.flatnonzero(r < c), np.flatnonzero(r > c), np.flatnonzero(r == c)
+    off_diagonal = np.concatenate([above, below])
+    i, j = np.minimum(r, c)[off_diagonal], np.maximum(r, c)[off_diagonal]
+    # the distinct triangle positions read, in np.triu_indices order, and the
+    # distinct diagonal indices read, ascending; an entry's draws sit at its
+    # place among them in the x | y | diag buffer
+    pairs, pair_of = np.unique(i * (2 * n - i - 1) // 2 + (j - i - 1), return_inverse=True)
+    diagonal, diagonal_of = np.unique(r[on], return_inverse=True)
+    p, size = pairs.size, r.size
     # every real part, then the imaginary parts above and then below the
     # diagonal, whose sign flips; the diagonal's imaginary part is 0
-    gather = np.concatenate([np.where(r == c, 2 * m + r, position),
-                             m + position[off_diagonal]])
-    size, conjugated = r.size, r.size + above.size
-
-    def draw_block(start: int) -> list[np.ndarray]:
-        block = []
-        for sub in rng.rekeyed_substreams(range(start, min(start + _DRAW_BLOCK, count))):
-            g = _draw_factor(spec, n, sub)
-            values = _draw_triangle(spec, n, sub, 1.0 if g is None else g)[gather]
-            np.negative(values[conjugated:], out=values[conjugated:])
-            out = np.zeros(size, dtype=complex)
-            out.real = values[:size]
-            out.imag[off_diagonal] = values[size:]
-            block.append(out.reshape(rows.shape))
-        return block
-
-    starts = range(0, count, _DRAW_BLOCK)
-    blocks = ordered_map(draw_block, starts, min(usable_cores(), len(starts)), "rmtlab-draw")
-    with contextlib.closing(blocks):
-        for block in blocks:
-            yield from block
+    gather = np.empty(size + off_diagonal.size, dtype=np.intp)
+    gather[off_diagonal] = pair_of
+    gather[on] = 2 * p + diagonal_of
+    gather[size:] = p + pair_of
+    conjugated = size + above.size
+    for sub in rng.rekeyed_substreams(range(count)):
+        g = _draw_factor(spec, n, sub)
+        values = _draw_triangle(spec, sub, p, diagonal.size, 1.0 if g is None else g)[gather]
+        np.negative(values[conjugated:], out=values[conjugated:])
+        out = np.zeros(size, dtype=complex)
+        out.real = values[:size]
+        out.imag[off_diagonal] = values[size:]
+        yield out.reshape(rows.shape)
 
 
 class QuarticChain:

@@ -1,10 +1,9 @@
 """Ordered maps on a small thread pool.
 
-numpy releases the GIL while it fills a large array with random draws and
-while LAPACK solves a large matrix, so threads can overlap that work.  Each
-task reads only its own inputs (its own matrix, its own random substreams),
-and results come back in input order, so no output depends on the number of
-workers or on how the threads interleave.
+numpy releases the GIL while LAPACK solves a large matrix, so threads can
+overlap that work (``spectra``'s eigensolves).  Each task reads only its own
+inputs (its own matrix), and results come back in input order, so no output
+depends on the number of workers or on how the threads interleave.
 """
 
 from __future__ import annotations

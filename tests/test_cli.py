@@ -188,6 +188,28 @@ def test_failed_write_keeps_existing_output(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"samples_per_n": 2}, "samples_per_n: cumulant-scan needs at least 3"),
+    ({"n_grid": [3, 8]}, "n_grid: size 3 is too small for the 4-vertex graph"),
+    # the first graph would be scanned in full before the second is refused
+    ({"n_grid": [3, 8], "graphs_to_scan": ["v=2;e=0->1,1->0", "v=4;e=0->1,1->0,2->3,3->2"]},
+     "n_grid: size 3 is too small for the 4-vertex graph")],
+    ids=["two_samples", "small_n", "small_n_for_the_second_graph"])
+def test_cumulant_scan_refused_input_exits_2_before_making_the_output_directory(
+        tmp_path, capsys, monkeypatch, fields, message):
+    def no_scan(*args):
+        raise AssertionError("a graph was scanned")
+
+    monkeypatch.setattr(cli, "scan_graph", no_scan)
+    doc = {**GUE_DOC, "n_grid": [4, 8], "samples_per_n": 20,
+           "graphs_to_scan": ["v=4;e=0->1,1->0,2->3,3->2"], **fields}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["cumulant-scan", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scan_rejects_big_graph(tmp_path):
     doc = dict(GUE_DOC, graphs_to_scan=["v=2;e=0->1,1->0,0->1,1->0,0->1"])
     cfg = write_config(tmp_path, doc)

@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-import sys
 import threading
 from fractions import Fraction
 
@@ -151,7 +150,7 @@ def test_common_factor_scales_whole_matrix():
     # replay the draw order: one factor draw, then the unscaled triangle
     rng = RngHandle(77, 0)
     rng.choice_index([float(w) for w in spec.factor_dist.weights])
-    draws = _draw_triangle(spec, 6, rng) * g  # x | y | diag, 15 + 15 + 6
+    draws = _draw_triangle(spec, rng, 15, 6) * g  # x | y | diag, 15 + 15 + 6
     w = HermitianMatrix.from_triangle(draws[:15], draws[15:30], draws[30:])
     assert np.array_equal(m.data, w.data)
 
@@ -175,18 +174,24 @@ def test_damped_factor_value():
 
 
 
+def reference_factor(spec: EnsembleSpec, n: int, rng: RngHandle) -> float | None:
+    """The scalar factor of a common-factor kind, drawn as the earlier
+    sampler drew it; None, with no draw, for the other kinds."""
+    if spec.kind == "common_factor":
+        weights = [float(w) for w in spec.factor_dist.weights]
+        return float(spec.factor_dist.values()[rng.choice_index(weights)])
+    if spec.kind == "damped_common_factor":
+        xi = -1.0 if rng.uniform() < 0.5 else 1.0
+        return 1.0 + xi * float(n) ** (-spec.damping_alpha / 2.0)
+    return None
+
+
 def parent_sample(spec: EnsembleSpec, n: int, rng: RngHandle) -> np.ndarray:
     """The earlier sampler, kept as a reference: a zero-filled upper triangle
     from complex-scaled draws, the common factor applied to the whole matrix,
     then np.triu plus its conjugate transpose and the real diagonal."""
     from rmtlab.ensembles import _draw_entries
-    g = None
-    if spec.kind == "common_factor":
-        weights = [float(w) for w in spec.factor_dist.weights]
-        g = float(spec.factor_dist.values()[rng.choice_index(weights)])
-    elif spec.kind == "damped_common_factor":
-        xi = -1.0 if rng.uniform() < 0.5 else 1.0
-        g = 1.0 + xi * float(n) ** (-spec.damping_alpha / 2.0)
+    g = reference_factor(spec, n, rng)
     dist = "gaussian" if spec.kind == "gue" else spec.entry_dist
     m = n * (n - 1) // 2
     x = _draw_entries(rng, dist, m)
@@ -254,15 +259,49 @@ ENTRY_WISE_SPECS = {
 }
 
 
+def restricted_reference(spec: EnsembleSpec, n: int, count: int, rng: RngHandle, rows, cols):
+    """``entry_stream`` written as a plain loop.  Sample s: substream s, the
+    factor, then one draw of x | y | diag over the distinct upper-triangle
+    pairs read, in ``np.triu_indices`` order, and the distinct diagonal
+    indices read, ascending; each entry is then looked up by position.  The
+    quartic kind reads its assembled matrices."""
+    from rmtlab.ensembles import _draw_entries
+    rows, cols = np.broadcast_arrays(np.asarray(rows), np.asarray(cols))
+    if spec.kind == "quartic_invariant":
+        for matrix in sample_stream(spec, n, count, rng):
+            yield matrix.data[rows, cols]
+        return
+    read = list(zip(rows.flat, cols.flat))
+    pairs = sorted({(min(i, j), max(i, j)) for i, j in read if i != j})
+    diagonal = sorted({i for i, j in read if i == j})
+    dist = "gaussian" if spec.kind == "gue" else spec.entry_dist
+    p = len(pairs)
+    for s in range(count):
+        sub = rng.substream(s)
+        g = reference_factor(spec, n, sub)
+        draws = _draw_entries(sub, dist, 2 * p + len(diagonal))
+        value = {}
+        for k, (i, j) in enumerate(pairs):
+            x = draws[k] * (spec.sigma / math.sqrt(2.0))
+            y = draws[p + k] * (spec.sigma / math.sqrt(2.0))
+            if g is not None:
+                x, y = x * g, y * g
+            value[i, j], value[j, i] = complex(x, y), complex(x, -y)
+        for k, i in enumerate(diagonal):
+            d = draws[2 * p + k] * math.sqrt(spec.diag_variance)
+            value[i, i] = complex(d if g is None else d * g, 0.0)
+        yield np.array([value[i, j] for i, j in read], dtype=complex).reshape(rows.shape)
+
+
 @pytest.mark.parametrize("spec", [
     *ENTRY_WISE_SPECS.values(),
     EnsembleSpec("quartic_invariant", quartic_g=0.1, sigma=1.2,
                  metropolis=MetropolisParams(steps=1, step_size=1.0, burn_in=5))],
     ids=[*ENTRY_WISE_SPECS, "quartic"])
 @pytest.mark.parametrize("n", [7, 12])
-def test_entry_stream_equals_assembled_entries(spec, n):
+def test_entry_stream_equals_the_restricted_draw_reference(spec, n):
     got = list(entry_stream(spec, n, 6, RngHandle(71, 3), ENTRY_ROWS, ENTRY_COLS))
-    want = [m.data[ENTRY_ROWS, ENTRY_COLS] for m in sample_stream(spec, n, 6, RngHandle(71, 3))]
+    want = list(restricted_reference(spec, n, 6, RngHandle(71, 3), ENTRY_ROWS, ENTRY_COLS))
     assert len(got) == len(want) == 6
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape == ENTRY_ROWS.shape
@@ -270,92 +309,85 @@ def test_entry_stream_equals_assembled_entries(spec, n):
         assert a.tobytes() == b.tobytes()  # the sign of a zero imaginary part too
 
 
-def pool_threads(name="rmtlab-draw"):
-    return [t for t in threading.enumerate() if t.name.startswith(name)]
+@pytest.mark.parametrize("spec", ENTRY_WISE_SPECS.values(), ids=ENTRY_WISE_SPECS)
+@pytest.mark.parametrize("n", [7, 12])
+def test_entry_stream_reading_every_entry_equals_sample_stream(spec, n):
+    # the restricted buffer of a read of every entry is sample's whole buffer
+    rows, cols = np.indices((n, n))
+    got = [a.tobytes() for a in entry_stream(spec, n, 6, RngHandle(71, 3), rows, cols)]
+    want = [m.data.tobytes() for m in sample_stream(spec, n, 6, RngHandle(71, 3))]
+    assert got == want
 
 
 @pytest.mark.parametrize("spec", ENTRY_WISE_SPECS.values(), ids=ENTRY_WISE_SPECS)
-@pytest.mark.parametrize("n", [7, 12])
-def test_entry_stream_bytes_do_not_depend_on_the_workers(monkeypatch, spec, n):
-    count = 2 * ensembles._DRAW_BLOCK + 5  # three blocks, the last one short
-
-    def stream(cores):
-        monkeypatch.setattr(ensembles, "usable_cores", lambda: cores)
-        return [a.tobytes() for a in entry_stream(spec, n, count, RngHandle(71, 3),
-                                                  ENTRY_ROWS, ENTRY_COLS)]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # many more thread switches than by default
-    try:
-        one, two, three = stream(1), stream(2), stream(3)
-    finally:
-        sys.setswitchinterval(interval)
-    want = [m.data[ENTRY_ROWS, ENTRY_COLS].tobytes()
-            for m in sample_stream(spec, n, count, RngHandle(71, 3))]
-    assert one == two == three == want
-    assert not pool_threads()
+def test_entry_stream_of_fewer_samples_is_a_prefix(spec):
+    short = [a.tobytes() for a in entry_stream(spec, 9, 4, RngHandle(71, 3),
+                                               ENTRY_ROWS, ENTRY_COLS)]
+    long = [a.tobytes() for a in entry_stream(spec, 9, 11, RngHandle(71, 3),
+                                              ENTRY_ROWS, ENTRY_COLS)]
+    assert len(long) == 11 and long[:4] == short
 
 
-def test_entry_stream_draws_each_block_on_a_pool_thread(monkeypatch):
-    monkeypatch.setattr(ensembles, "usable_cores", lambda: 2)
+def test_entry_stream_starts_no_thread(monkeypatch):
+    def no_thread(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     draw = ensembles._draw_triangle
-    threads = []
+    threads = set()
 
     def traced(*args):
-        threads.append(threading.current_thread().name)
+        threads.add(threading.current_thread().name)
         return draw(*args)
 
     monkeypatch.setattr(ensembles, "_draw_triangle", traced)
-    spec = EnsembleSpec("gue")
-    # a scan that fits one block runs inline, as the tracer's small scans do
-    list(entry_stream(spec, 6, ensembles._DRAW_BLOCK, RngHandle(2, 0), [0], [1]))
-    assert set(threads) == {threading.current_thread().name}
-    threads.clear()
-    list(entry_stream(spec, 6, ensembles._DRAW_BLOCK + 1, RngHandle(2, 0), [0], [1]))
-    assert len(threads) == ensembles._DRAW_BLOCK + 1
-    assert all(name.startswith("rmtlab-draw") for name in threads)
-
-
-def test_entry_stream_closed_early_leaves_no_thread(monkeypatch):
-    monkeypatch.setattr(ensembles, "usable_cores", lambda: 2)
-    stream = entry_stream(EnsembleSpec("gue"), 6, 10 * ensembles._DRAW_BLOCK,
-                          RngHandle(2, 0), [0], [1])
-    next(stream)
-    assert pool_threads()
-    stream.close()
-    assert not pool_threads()
+    before = threading.enumerate()
+    for spec in ENTRY_WISE_SPECS.values():
+        assert len(list(entry_stream(spec, 12, 200, RngHandle(2, 0), ENTRY_ROWS,
+                                     ENTRY_COLS))) == 200
+    assert threads == {threading.current_thread().name}
+    assert threading.enumerate() == before
 
 
 def test_entry_stream_draw_error_reaches_the_caller_unchanged(monkeypatch):
-    monkeypatch.setattr(ensembles, "usable_cores", lambda: 2)
     draw = ensembles._draw_triangle
     error = ParameterError("draw failed")
     calls = []
 
     def failing(*args):
         calls.append(None)
-        if len(calls) == ensembles._DRAW_BLOCK + 3:
+        if len(calls) == 70:
             raise error
         return draw(*args)
 
     monkeypatch.setattr(ensembles, "_draw_triangle", failing)
     seen = 0
     with pytest.raises(ParameterError) as raised:
-        for _ in entry_stream(EnsembleSpec("gue"), 6, 10 * ensembles._DRAW_BLOCK,
-                              RngHandle(2, 0), [0], [1]):
+        for _ in entry_stream(EnsembleSpec("gue"), 6, 640, RngHandle(2, 0), [0], [1]):
             seen += 1
     assert raised.value is error
-    # every sample before the failing block came through
-    assert seen >= ensembles._DRAW_BLOCK
-    assert not pool_threads()
+    # every sample before the failing one came through, and no later draw was made
+    assert seen == 69
+    assert len(calls) == 70
+
+
+def test_entry_stream_takes_narrow_integer_indices():
+    # triangle positions beyond int16 are computed in a wide type
+    rows, cols = np.array([250, 299, 7], dtype=np.int16), np.array([290, 3, 7], dtype=np.int16)
+    narrow = entry_stream(EnsembleSpec("gue"), 300, 3, RngHandle(1, 0), rows, cols)
+    wide = entry_stream(EnsembleSpec("gue"), 300, 3, RngHandle(1, 0),
+                        rows.astype(np.int64), cols.astype(np.int64))
+    assert [a.tobytes() for a in narrow] == [a.tobytes() for a in wide]
 
 
 def test_entry_stream_broadcasts_like_fancy_indexing():
+    # the broadcast index pairs cover every entry, so the matrix is sample's
     spec = EnsembleSpec("wigner", entry_dist="uniform")
-    rows, cols = np.arange(5)[:, None], np.array([4, 0, 2])
+    rows, cols = np.arange(5)[:, None], np.array([4, 0, 2, 1, 3])
     (got,) = entry_stream(spec, 5, 1, RngHandle(4, 0), rows, cols)
     (want,) = sample_stream(spec, 5, 1, RngHandle(4, 0))
-    assert np.array_equal(got, want.data[rows, cols])
+    assert got.shape == (5, 5)
+    assert got.tobytes() == want.data[rows, cols].tobytes()
 
 
 @pytest.mark.parametrize("n", [0, -2, MAX_MATRIX_SIZE + 1])

@@ -5,10 +5,11 @@ import pytest
 
 from rmtlab import cumulant_scan
 from rmtlab.cumulant_scan import estimate_entry_cumulant, scan_graph, subset_keys
-from rmtlab.ensembles import EnsembleSpec, sample_stream
+from rmtlab.ensembles import EnsembleSpec, entry_stream
 from rmtlab.graphs import BoundVerdict, CapacityError, CumulantGraph
 from rmtlab.linalg import RngHandle
 from rmtlab.partitions import MAX_CUMULANT_ENTRIES, cumulants_from_moments
+from test_ensembles import restricted_reference
 
 TWO_TWO_CYCLES = CumulantGraph(4, ((0, 1), (1, 0), (2, 3), (3, 2)))
 TWO_CYCLE = CumulantGraph(2, ((0, 1), (1, 0)))
@@ -65,14 +66,17 @@ def test_estimator_refuses_too_many_edges_before_drawing(monkeypatch):
 def delete_one_reference(spec, graph, n, samples, rng):
     """The estimator written as a plain per-sample loop: (estimate, stderr)."""
     v = graph.num_vertices
-    rows = np.arange(n // v) * v
+    offsets = np.arange(n // v) * v
+    sources = np.array([s for s, _ in graph.edges])[:, None] + offsets
+    targets = np.array([t for _, t in graph.edges])[:, None] + offsets
     keys = set(subset_keys(graph.edges).values())
     per_sample = {key: [] for key in keys}
-    for matrix in sample_stream(spec, n, samples, rng):
+    for values in entry_stream(spec, n, samples, rng, sources, targets):
+        entry = {edge: values[k] for k, edge in enumerate(graph.edges)}
         for key in keys:
-            prod = np.ones(len(rows), dtype=complex)
-            for s, t in key:
-                prod = prod * matrix.data[rows + s, rows + t]
+            prod = np.ones(len(offsets), dtype=complex)
+            for edge in key:
+                prod = prod * entry[edge]
             per_sample[key].append(prod.mean())
 
     def kappa(drop):
@@ -99,12 +103,6 @@ def test_jackknife_matches_delete_one_loop(spec):
     assert est.estimate == pytest.approx(want_estimate, rel=1e-12, abs=1e-15)
 
 
-def assembled_entries(spec, n, count, rng, rows, cols):
-    """The scan's earlier entry source: every matrix assembled, then indexed."""
-    for matrix in sample_stream(spec, n, count, rng):
-        yield matrix.data[rows, cols]
-
-
 @pytest.mark.parametrize("graph", [TWO_TWO_CYCLES, CumulantGraph.from_text("v=2;e=0->0,1->1"),
                                    CumulantGraph.from_text("v=3;e=0->1,1->2,2->0")],
                          ids=["two_two_cycles", "self_loops", "triangle"])
@@ -113,10 +111,31 @@ def assembled_entries(spec, n, count, rng, rows, cols):
     EnsembleSpec("common_factor", diagonal_variance=0.5),
     EnsembleSpec("damped_common_factor", damping_alpha=0.5)],
     ids=lambda spec: spec.kind)
-def test_estimate_equals_reading_assembled_matrices(spec, graph, monkeypatch):
+def test_estimate_equals_reading_the_restricted_draw_reference(spec, graph, monkeypatch):
     est = estimate_entry_cumulant(spec, graph, 13, 40, RngHandle(9, 2))
-    monkeypatch.setattr(cumulant_scan, "entry_stream", assembled_entries)
+    monkeypatch.setattr(cumulant_scan, "entry_stream", restricted_reference)
     want = estimate_entry_cumulant(spec, graph, 13, 40, RngHandle(9, 2))
     assert est.estimate == want.estimate
     assert est.stderr == want.stderr
     assert est == want
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3, 8, 21, 32])
+def test_one_division_gives_the_bits_of_per_sample_means(columns):
+    # the estimator sums each sample's subset products and divides the
+    # [subsets, samples] array once, in place of prod.mean(axis=1) per sample;
+    # checked on contiguous products and on the strided view that a one-edge
+    # graph's products are
+    rng = np.random.default_rng(columns)
+    samples = [rng.standard_normal((15, columns)) + 1j * rng.standard_normal((15, columns))
+               for _ in range(40)]
+    samples[0][3, 0] = complex(-0.0, -0.0)
+    samples[1][:] = complex(-0.0, 0.0)
+    for layout in (lambda a: a, lambda a: np.stack([a, a], axis=1)[:, 0]):
+        prods = [layout(a) for a in samples]
+        means = np.stack([prod.mean(axis=1) for prod in prods], axis=1)
+        divided = np.empty_like(means)
+        for s, prod in enumerate(prods):
+            divided[:, s] = prod.sum(axis=1)
+        divided /= columns
+        assert divided.tobytes() == means.tobytes()
