@@ -26,7 +26,8 @@ from .cumulant_scan import scan_graph
 from .ensembles import ParameterError
 from .graphs import CapacityError, CumulantGraph, GraphParseError, scaling_exponent
 from .linalg import RngHandle
-from .replica_rg import (DEFAULT_MAX_EDGES, MAX_FLOW_ORDER, TADPOLE, CumulantSpec,
+from .partitions import MAX_CUMULANT_ENTRIES
+from .replica_rg import (MAX_FLOW_ORDER, TADPOLE, CumulantSpec,
                          FlowInvariantError, check_bounds_flow, extract_resolvent,
                          initial_potential, integrate_flow)
 from .ring import RingElement
@@ -183,8 +184,9 @@ def cmd_cumulant_scan(config: ExperimentConfig, out_dir: Path) -> int:
     if not graphs:
         raise ConfigError("graphs_to_scan: required for cumulant-scan")
     for g in graphs:
-        if g.num_edges > 4:
-            raise ConfigError(f"graphs_to_scan: {g.to_text()} has more than 4 edges")
+        if g.num_edges > MAX_CUMULANT_ENTRIES:
+            raise CapacityError(f"graphs_to_scan: {g.to_text()} has {g.num_edges} edges, past "
+                                f"the cumulant inversion's limit of {MAX_CUMULANT_ENTRIES}")
         # n_grid ascends, so its first size is the smallest
         if config.n_grid[0] < g.num_vertices:
             raise ConfigError(f"n_grid: size {config.n_grid[0]} is too small for the "
@@ -210,8 +212,7 @@ def cmd_cumulant_scan(config: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_rg_flow(order: int, sigma: Fraction, pert_graph: str | None = None,
                 pert_coeff: Fraction | None = None, pert_nhalf: int | None = None,
-                max_edges: int = DEFAULT_MAX_EDGES, out_dir: Path | None = None,
-                stream=None) -> int:
+                out_dir: Path | None = None, stream=None) -> int:
     """Run the exact flow, print the resolvent series, check the bounds.
 
     Only the light cone of the tadpole is flown: the resolvent reads the
@@ -233,7 +234,7 @@ def cmd_rg_flow(order: int, sigma: Fraction, pert_graph: str | None = None,
         value = RingElement({(0, pert_nhalf or 0):
                              Fraction(pert_coeff if pert_coeff is not None else 1)})
         spec = spec.with_perturbation(graph, value)
-    state = integrate_flow(initial_potential(spec, max_edges), order, TADPOLE.num_edges)
+    state = integrate_flow(initial_potential(spec), order, TADPOLE.num_edges)
     try:
         coeffs, divergence = extract_resolvent(state, order), None
     except FlowInvariantError as exc:
@@ -253,7 +254,7 @@ def cmd_rg_flow(order: int, sigma: Fraction, pert_graph: str | None = None,
                 _write_text(out_dir / "resolvent.txt",
                             "\n".join(str(c) for c in coeffs) + "\n")
             _write_text(out_dir / "bounds.txt", "\n".join(
-                f"{e.graph} t^{e.t_order} {e.part} grade={e.half_grade} exact={e.exact} ok={e.ok}"
+                f"{e.graph} t^{e.t_order} {e.part} grade={e.half_grade} ok={e.ok}"
                 for e in report.entries) + "\n")
     if not report.all_ok:
         print("scaling-bound violation in the n^0 grade", file=sys.stderr)
@@ -321,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument("--pert-coeff", type=Fraction, default=None)
     flow.add_argument("--pert-nhalf", type=int, default=None,
                       help="N grade of the perturbation, in units of N^(1/2) (default 0)")
-    flow.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
     flow.add_argument("--out", default=None)
 
     plot = sub.add_parser("plot", help="SVG histogram with semicircle overlay")
@@ -357,8 +357,7 @@ def main(argv=None) -> int:
             return cmd_cumulant_scan(_load_config(args), Path(args.out))
         if args.command == "rg-flow":
             return cmd_rg_flow(args.order, args.sigma, args.pert_graph, args.pert_coeff,
-                               args.pert_nhalf, args.max_edges,
-                               Path(args.out) if args.out else None)
+                               args.pert_nhalf, Path(args.out) if args.out else None)
         if args.command == "plot":
             return cmd_plot([Path(p) for p in args.spectra], args.sigma, args.bins,
                             tuple(args.range), Path(args.out))

@@ -27,9 +27,9 @@ from .graphs import (MAX_CANONICAL_EDGES, CapacityError, CumulantGraph, _union_r
 from .partitions import set_partitions
 from .ring import RingElement
 
-DEFAULT_MAX_EDGES = 6
 MAX_FLOW_ORDER = 8
 MAX_WICK_ORDER = 3
+WICK_MAX_EDGES = 6
 
 TADPOLE = CumulantGraph(1, ((0, 0),))
 TWO_CYCLE = CumulantGraph(2, ((0, 1), (1, 0)))
@@ -95,7 +95,8 @@ class FlowState:
     basis: str
     table: dict[CumulantGraph, list[RingElement]]
     vacuum: list[RingElement]
-    max_edges: int = DEFAULT_MAX_EDGES
+    # terms the table does not report, per (t-order, edge count): filled only
+    # by wick_oracle past its report limit; a flow drops nothing
     truncation_events: dict[tuple[int, int], int] = field(default_factory=dict)
     # None: every graph was flown; E: only the light cone of graphs with at
     # most E edges at t^order_t, see integrate_flow
@@ -111,24 +112,17 @@ class FlowState:
             return self.order_t
         return max(0, min(self.order_t, self.cone_edges + self.order_t - edges))
 
-    def is_exact(self, graph: CumulantGraph, k: int) -> bool:
-        """Whether the t^k coefficient of ``graph`` is certified exact.
-
-        A term dropped at t^j with e_d edges loses at most one edge per
-        later step, so it can reach a graph with e edges at t^k only if
-        e_d - (k - j) <= e.  Outside a light cone nothing is flown past t^0.
-        """
-        edges = graph.num_edges
-        if k > self._cone_orders(edges):
-            return False
-        return all(e_d - (k - j) > edges
-                   for j, e_d in self.truncation_events if j <= k)
-
     def coefficient(self, graph: CumulantGraph, k: int) -> RingElement:
-        series = self.table.get(canonical_graph(graph))
-        if series is None or k > self.order_t:
+        """The t^k coefficient; a read outside a cone state's cone raises,
+        since those orders were never flown."""
+        g = canonical_graph(graph)
+        if k > self.order_t:
             return RingElement.zero()
-        return series[k]
+        if k > self._cone_orders(g.num_edges):
+            raise ValueError(f"t^{k} of {g.to_text()} lies outside the cone of "
+                             f"{self.cone_edges} edges at t^{self.order_t}")
+        series = self.table.get(g)
+        return RingElement.zero() if series is None else series[k]
 
     def _normalized_table(self):
         out = {}
@@ -152,7 +146,6 @@ class FlowState:
         doc = {
             "order": self.order_t,
             "basis": self.basis,
-            "max_edges": self.max_edges,
             "truncated": self.truncated,
             "truncation_events": [[*key, n] for key, n in sorted(self.truncation_events.items())],
             "graphs": {g.to_text(): [c.to_triples()
@@ -167,11 +160,14 @@ class FlowState:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FlowState":
-        """The certificate's inputs, ``max_edges`` and ``truncation_events``,
-        must be present; a missing ``cone_edges`` means a full flow."""
-        for key in ("max_edges", "truncation_events"):
-            if key not in doc:
-                raise ValueError(f"flow state is missing {key!r}")
+        """``truncation_events`` must be present; a missing ``cone_edges``
+        means a full flow.  A ``max_edges`` key marks a file from a flow that
+        capped its graphs and could drop terms, so it is refused."""
+        if "max_edges" in doc:
+            raise ValueError("flow state carries 'max_edges': it comes from a flow that "
+                             "could drop terms")
+        if "truncation_events" not in doc:
+            raise ValueError("flow state is missing 'truncation_events'")
         order = doc["order"]
         table = {}
         for label, series in doc["graphs"].items():
@@ -180,7 +176,7 @@ class FlowState:
             table[CumulantGraph.from_text(label)] = coeffs
         return cls(order, doc["basis"], table,
                    [RingElement.from_triples(t) for t in doc["vacuum"]],
-                   doc["max_edges"], {(k, e): n for k, e, n in doc["truncation_events"]},
+                   {(k, e): n for k, e, n in doc["truncation_events"]},
                    doc.get("cone_edges"))
 
     def dumps(self) -> str:
@@ -241,7 +237,7 @@ def _convert_basis(state: FlowState, to_basis: str) -> FlowState:
                     sums[key] = sums.get(key, 0) + c * weight
     table = {g: [RingElement(sums) for sums in orders] for g, orders in acc.items()}
     return FlowState(state.order_t, to_basis, table, list(state.vacuum),
-                     state.max_edges, dict(state.truncation_events), state.cone_edges)
+                     dict(state.truncation_events), state.cone_edges)
 
 
 def to_free_basis(state: FlowState) -> FlowState:
@@ -257,21 +253,16 @@ def to_distinct_basis(state: FlowState) -> FlowState:
 # ---------------------------------------------------------------------------
 
 
-def initial_potential(spec: CumulantSpec, max_edges: int = DEFAULT_MAX_EDGES) -> FlowState:
+def initial_potential(spec: CumulantSpec) -> FlowState:
     """Flow state at t = 0: bare cumulants with their 1/(|Aut(G)| N^(e/2))
     symmetry weights attached, converted to the free-sum basis."""
-    if max_edges > MAX_CANONICAL_EDGES:
-        raise CapacityError(f"max_edges={max_edges} exceeds the canonical-form limit of "
-                            f"{MAX_CANONICAL_EDGES} edges")
     table: dict[CumulantGraph, list[RingElement]] = {}
     for graph, value in spec.items():
         g = canonical_graph(graph)
-        if g.num_edges > max_edges:
-            raise CapacityError(f"initial graph exceeds max_edges={max_edges}")
         weighted = value.scale(Fraction(1, aut_order(g))).shift_N(-g.num_edges)
         series = _series(table, g, 0)
         series[0] = series[0] + weighted
-    distinct = FlowState(0, DISTINCT_INDEX, table, _zero_series(0), max_edges)
+    distinct = FlowState(0, DISTINCT_INDEX, table, _zero_series(0))
     return to_free_basis(distinct)
 
 
@@ -313,8 +304,7 @@ def _deposit(sums: dict, vacuum: dict, contractions: dict, terms: tuple):
 
     ``contractions`` maps (graph or None, n_factor, free_vertices) to its
     multiplicity.  The replica loop raises the n power a by one and each
-    free vertex the half-power b of N by two.  A contraction removes one edge,
-    so no result outgrows the ``max_edges`` its sources were checked against.
+    free vertex the half-power b of N by two.
     """
     for (graph, n_factor, free_vertices), mult in contractions.items():
         dst = vacuum if graph is None else sums.setdefault(graph, {})
@@ -324,10 +314,9 @@ def _deposit(sums: dict, vacuum: dict, contractions: dict, terms: tuple):
             dst[key] = dst.get(key, 0) + c * mult
 
 
-def _derivative_order(state_table: dict, k: int, max_edges: int, trunc: Counter,
-                      bound: float = inf):
+def _derivative_order(state_table: dict, k: int, bound: float = inf):
     """t^k coefficient of loop(V) + tree(V, V), over the terms with at most
-    ``bound`` edges; oversized tree terms within ``bound`` count in trunc."""
+    ``bound`` edges."""
     sums: dict[CumulantGraph, dict[tuple[int, int], Fraction]] = {}
     vacuum: dict[tuple[int, int], Fraction] = {}
     # per t-order, the graphs with a non-zero coefficient there, in table
@@ -356,9 +345,6 @@ def _derivative_order(state_table: dict, k: int, max_edges: int, trunc: Counter,
                 size = ea + gb.num_edges - 1
                 if size > bound:
                     continue
-                if size > max_edges:
-                    trunc[k + 1, size] += 1
-                    continue
                 union_edges = list(ga.edges) + [(s + nva, t + nva) for s, t in gb.edges]
                 contractions = {}
                 for e1 in range(ea):
@@ -374,24 +360,36 @@ def _derivative_order(state_table: dict, k: int, max_edges: int, trunc: Counter,
 def rg_derivative(state: FlowState) -> FlowState:
     """dV/dt of a free-sum state, order by order up to state.order_t.
 
-    Its t^k coefficient is (k+1) times the flow's t^(k+1) one: a term
-    dropped while building it is tallied at t^k, and the derivative of a
-    light-cone state has a cone one edge narrower.
+    Its t^k coefficient is (k+1) times the flow's t^(k+1) one, so the
+    derivative of a light-cone state has a cone one edge narrower, and only
+    that cone is computed.
     """
     if state.basis != FREE_SUM:
         raise ValueError("rg_derivative requires the free-sum basis")
-    trunc: Counter = Counter()
+    cone = None if state.cone_edges is None else state.cone_edges - 1
+    reach = inf if cone is None else cone + state.order_t
     table: dict[CumulantGraph, list[RingElement]] = {}
     vacuum = _zero_series(state.order_t)
     for k in range(state.order_t + 1):
-        contrib, vac = _derivative_order(state.table, k, state.max_edges, trunc)
+        contrib, vac = _derivative_order(state.table, k, reach - k)
         vacuum[k] = vac
         for g, coeff in contrib.items():
             if coeff:
                 _series(table, g, state.order_t)[k] = coeff
-    return FlowState(state.order_t, FREE_SUM, table, vacuum, state.max_edges,
-                     {(j - 1, e): n for (j, e), n in trunc.items()},
-                     None if state.cone_edges is None else state.cone_edges - 1)
+    return FlowState(state.order_t, FREE_SUM, table, vacuum, {}, cone)
+
+
+def _edge_budget(state0: FlowState, order: int, reach: float) -> int:
+    """Most edges of any graph that ``integrate_flow`` can build.
+
+    With e0 the most edges of a t^0 graph: the loop term removes an edge,
+    and the tree term at t^(k+1) joins a t^i and a t^(k-i) graph into one
+    with one edge fewer than the two, so t^j holds at most e0 + j(e0 - 1)
+    edges.  A cone of E edges (``reach`` = E + order, inf for no cone) also
+    skips every term with more than reach - j edges at t^j.
+    """
+    e0 = max((g.num_edges for g, series in state0.table.items() if series[0]), default=0)
+    return max([e0] + [min(e0 + j * (e0 - 1), reach - j) for j in range(1, order + 1)])
 
 
 def integrate_flow(state0: FlowState, order: int, cone_edges: int | None = None) -> FlowState:
@@ -403,8 +401,9 @@ def integrate_flow(state0: FlowState, order: int, cone_edges: int | None = None)
     most one (the loop term removes an edge, the tree term keeps at least
     the larger source's), so t^(k+1) needs only the terms with at most
     E + order - (k+1) edges; every coefficient inside the cone equals the
-    full flow's under the same ``max_edges``, and the others stay zero.
-    Drops past that bound are not tallied: they cannot reach the cone.
+    full flow's, and the others stay zero.  Nothing is ever dropped: a flow
+    whose edge budget (``_edge_budget``) exceeds the canonical-form limit
+    raises CapacityError before it flows any term.
     """
     if order > MAX_FLOW_ORDER:
         raise CapacityError(f"flow order limited to {MAX_FLOW_ORDER}")
@@ -415,18 +414,21 @@ def integrate_flow(state0: FlowState, order: int, cone_edges: int | None = None)
     if state0.order_t != 0:
         raise ValueError(f"integrate_flow starts from a t^0 potential, not t^{state0.order_t}")
     reach = inf if cone_edges is None else cone_edges + order
+    budget = _edge_budget(state0, order, reach)
+    if budget > MAX_CANONICAL_EDGES:
+        raise CapacityError(f"a flow to t^{order} can build graphs of {budget} edges, past the "
+                            f"canonical-form limit of {MAX_CANONICAL_EDGES}")
     table = {g: series + [RingElement.zero()] * order for g, series in state0.table.items()}
     vacuum = list(state0.vacuum) + [RingElement.zero()] * order
-    trunc: Counter = Counter()
     for k in range(order):
-        contrib, vac = _derivative_order(table, k, state0.max_edges, trunc, reach - (k + 1))
+        contrib, vac = _derivative_order(table, k, reach - (k + 1))
         inv = Fraction(1, k + 1)
         for g, coeff in contrib.items():
             if coeff:
                 series = _series(table, g, order)
                 series[k + 1] = series[k + 1] + coeff.scale(inv)
         vacuum[k + 1] = vacuum[k + 1] + vac.scale(inv)
-    return FlowState(order, FREE_SUM, table, vacuum, state0.max_edges, dict(trunc), cone_edges)
+    return FlowState(order, FREE_SUM, table, vacuum, {}, cone_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +442,7 @@ def extract_resolvent(state: FlowState, order: int) -> list[Fraction]:
     The coefficient of 1/z^(k+2) is the large-N limit of the n^0 grade of
     the tadpole series at t^k; a surviving positive N grade raises
     FlowInvariantError with that k.  It is a rewrite bug unless the spec
-    breaks the scaling bounds (``check_bounds_flow``).  A tadpole
-    coefficient that the state cannot certify exact (see
-    FlowState.is_exact) raises CapacityError.
+    breaks the scaling bounds (``check_bounds_flow``).
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -451,9 +451,6 @@ def extract_resolvent(state: FlowState, order: int) -> list[Fraction]:
     free = to_free_basis(state)
     coeffs = [Fraction(1)]
     for k in range(order - 1):
-        if not state.is_exact(TADPOLE, k):
-            raise CapacityError(f"tadpole t^{k} is not exact under max_edges={state.max_edges}: "
-                                f"dropped terms reach it")
         w = free.coefficient(TADPOLE, k).n_grade(0)
         try:
             coeffs.append(w.large_N_limit())
@@ -468,7 +465,7 @@ def extract_resolvent(state: FlowState, order: int) -> list[Fraction]:
 
 
 def wick_oracle(spec: CumulantSpec, order: int,
-                max_edges: int = DEFAULT_MAX_EDGES) -> FlowState:
+                max_edges: int = WICK_MAX_EDGES) -> FlowState:
     """Perturbative evaluation of the partially integrated potential.
 
     Expands exp(V0(X+Y)) around the Gaussian Y measure with propagator
@@ -481,13 +478,16 @@ def wick_oracle(spec: CumulantSpec, order: int,
     a choice of in-slots that leaves the insertions disconnected is
     skipped before any in-half is chosen.  Patterns are tallied as integer
     counts per (graph, loops, free vertices), and the ring arithmetic runs
-    once per tally.  ``truncation_events`` counts ordered patterns.
+    once per tally.  Graphs with more than ``max_edges`` edges are not
+    reported; ``truncation_events`` counts their ordered patterns.
     """
     if order > MAX_WICK_ORDER:
         raise CapacityError(f"wick oracle limited to order {MAX_WICK_ORDER}")
     if order < 0:
         raise ValueError("wick order must be non-negative")
-    base = initial_potential(spec, max_edges)
+    base = initial_potential(spec)
+    if any(g.num_edges > max_edges for g in base.table):
+        raise CapacityError(f"initial graph exceeds max_edges={max_edges}")
     classes = [(g, series[0]) for g, series in base.table.items() if series[0]]
     table: dict[CumulantGraph, list[RingElement]] = {
         g: series + [RingElement.zero()] * order for g, series in base.table.items()}
@@ -541,7 +541,7 @@ def wick_oracle(spec: CumulantSpec, order: int,
                     else:
                         series = _series(table, graph, order)
                         series[k] = series[k] + coeff
-    return FlowState(order, FREE_SUM, table, vacuum, max_edges, dict(trunc))
+    return FlowState(order, FREE_SUM, table, vacuum, dict(trunc))
 
 
 def _wick_pattern(edges, num_vertices, outs, ins):
@@ -594,7 +594,6 @@ class BoundEntry:
     part: str  # "gaussian" or "perturbation"
     eulerian: bool
     half_grade: Fraction | None  # grade of N^(v-c-e/2) C at n^0, in units of N^(1/2)
-    exact: bool  # both the full flow and the Gaussian re-flow certify the coefficient
     ok: bool
 
 
@@ -607,18 +606,17 @@ class FlowBoundsReport:
         return all(e.ok for e in self.entries)
 
 
-
 def check_bounds_flow(state: FlowState, spec: CumulantSpec) -> FlowBoundsReport:
     """Grade check of the flown cumulants against the scaling bounds.
 
     The Gaussian part is re-flown alone and subtracted to isolate the
-    perturbation.  For each graph and t-order the n^0 grade of
-    N^(v-c-e/2) C_G(t) must be non-positive (strictly negative for Eulerian
-    perturbations).
+    perturbation.  For each graph and each t-order inside the state's cone,
+    the n^0 grade of N^(v-c-e/2) C_G(t) must be non-positive (strictly
+    negative for Eulerian perturbations).
     """
     from .graphs import connected_components, is_eulerian
 
-    gauss_state = integrate_flow(initial_potential(spec.gaussian_only(), state.max_edges),
+    gauss_state = integrate_flow(initial_potential(spec.gaussian_only()),
                                  state.order_t, state.cone_edges)
     full_d = to_distinct_basis(state)
     gauss_d = to_distinct_basis(gauss_state)
@@ -627,8 +625,7 @@ def check_bounds_flow(state: FlowState, spec: CumulantSpec) -> FlowBoundsReport:
     for g in graphs:
         vc2 = 2 * (g.num_vertices - len(connected_components(g)))
         euler = is_eulerian(g)
-        for k in range(state.order_t + 1):
-            exact = state.is_exact(g, k) and gauss_state.is_exact(g, k)
+        for k in range(state._cone_orders(g.num_edges) + 1):
             gauss_c = gauss_d.coefficient(g, k)
             pert_c = full_d.coefficient(g, k) - gauss_c
             for part, coeff in (("gaussian", gauss_c), ("perturbation", pert_c)):
@@ -641,5 +638,5 @@ def check_bounds_flow(state: FlowState, spec: CumulantSpec) -> FlowBoundsReport:
                 if n0:
                     grade = Fraction(max(b for (_, b), _ in n0.terms) + vc2, 2)
                     ok = grade < 0 if strict else grade <= 0
-                entries.append(BoundEntry(g.to_text(), k, part, euler, grade, exact, ok))
+                entries.append(BoundEntry(g.to_text(), k, part, euler, grade, ok))
     return FlowBoundsReport(tuple(entries))

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -210,11 +211,20 @@ def test_cumulant_scan_refused_input_exits_2_before_making_the_output_directory(
     assert not out.exists()
 
 
-def test_scan_rejects_big_graph(tmp_path):
-    doc = dict(GUE_DOC, graphs_to_scan=["v=2;e=0->1,1->0,0->1,1->0,0->1"])
-    cfg = write_config(tmp_path, doc)
-    result = run_cli(["cumulant-scan", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert result.returncode == 2
+def test_scan_rejects_big_graph(tmp_path, capsys):
+    # the scan takes up to partitions.MAX_CUMULANT_ENTRIES = 6 edges
+    doc = dict(GUE_DOC, n_grid=[4, 6, 8], samples_per_n=3)
+    five = "v=2;e=0->1,0->1,0->1,1->0,1->0"
+    cfg = write_config(tmp_path, dict(doc, graphs_to_scan=[five]))
+    out = tmp_path / "five"
+    assert main(["cumulant-scan", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "scan.csv").read_text().splitlines()[1].startswith(f'4,"{five}",')
+    seven = "v=2;e=0->1,1->0,0->1,1->0,0->1,1->0,0->1"
+    cfg = write_config(tmp_path, dict(doc, graphs_to_scan=[seven]))
+    out = tmp_path / "seven"
+    assert main(["cumulant-scan", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "has 7 edges, past the cumulant inversion's limit of 6" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rg_flow_stdout_and_exit():
@@ -237,21 +247,27 @@ def test_rg_flow_writes_state(tmp_path):
     assert (out / "resolvent.txt").read_text().splitlines() == ["1", "0", "1"]
 
 
-def test_rg_flow_max_edges_zero_exits_3(tmp_path):
+def test_rg_flow_has_no_edge_cap_option(tmp_path):
     out = tmp_path / "out"
-    # 9 is past graphs.MAX_CANONICAL_EDGES and must fail before any flow work;
-    # under 2 and 3 the dropped terms reach the tadpole at t^3 and t^5
-    for max_edges in (0, 9, 2, 3):
-        result = run_cli(["rg-flow", "--order", "7", "--max-edges", str(max_edges),
-                          "--out", str(out)])
-        assert result.returncode == 3
-        assert f"max_edges={max_edges}" in result.stderr
-        assert not (out / "flow_state.json").exists()
-        assert result.stdout == ""
-    # under 4 they reach it only at t^7, which order 7 does not read
-    result = run_cli(["rg-flow", "--order", "7", "--max-edges", "4"])
-    assert result.returncode == 0
-    assert result.stdout.strip() == "1, 0, 1, 0, 2, 0, 5"
+    result = run_cli(["rg-flow", "--order", "3", "--max-edges", "6", "--out", str(out)])
+    assert result.returncode == 2
+    assert "unrecognized arguments: --max-edges" in result.stderr
+    assert not out.exists()
+
+
+def test_rg_flow_four_edge_perturbation_drops_nothing(tmp_path):
+    # the tadpole's cone builds graphs of up to 7 edges for this spec
+    out = tmp_path / "flow"
+    result = run_cli(["rg-flow", "--order", "7", "--pert-graph", "v=3;e=0->1,0->2,1->0,2->0",
+                      "--pert-coeff", "1/4", "--out", str(out)])
+    assert result.returncode == 4
+    assert result.stdout.strip() == "1, 0, 1, 0, 5/2, 0, 8"
+    assert (out / "resolvent.txt").read_text().split() == ["1", "0", "1", "0", "5/2", "0", "8"]
+    lines = (out / "bounds.txt").read_text().splitlines()
+    assert len(lines) == 194
+    assert sum(line.endswith(" ok=False") for line in lines) == 42
+    doc = json.loads((out / "flow_state.json").read_text())
+    assert doc["truncated"] is False and doc["truncation_events"] == []
 
 
 def test_rg_flow_rational_sigma():
@@ -289,15 +305,19 @@ def test_rg_flow_rejects_unused_perturbation_flags():
 
 def test_rg_flow_bounds_cover_the_tadpole_cone(tmp_path):
     out = tmp_path / "flow"
-    result = run_cli(["rg-flow", "--order", "7", "--max-edges", "4", "--out", str(out),
+    result = run_cli(["rg-flow", "--order", "7", "--out", str(out),
                       "--pert-graph", "v=2;e=0->1,0->1", "--pert-coeff", "1/2"])
     assert result.returncode == 0
     lines = (out / "bounds.txt").read_text().splitlines()
-    assert lines and all(line.endswith(" ok=True") for line in lines)
-    assert any(" exact=False " in line for line in lines)
-    assert all(" exact=True " in line or " exact=False " in line for line in lines)
+    assert len(lines) == 223
+    line_form = re.compile(r"\S+ t\^\d (gaussian|perturbation) grade=\S+ ok=True")
+    assert all(line_form.fullmatch(line) for line in lines)
+    # every line stays inside the tadpole's cone: e edges at t^k with e <= 8 - k
+    assert all(line.split()[0].count("->") <= 8 - int(line.split()[1][2:])
+               for line in lines if line.split()[1] != "t^0")
     doc = json.loads((out / "flow_state.json").read_text())
     assert doc["cone_edges"] == 1
+    assert "max_edges" not in doc
     assert doc["graphs"]["v=1;e=0->0"] and len(doc["graphs"]["v=1;e=0->0"]) == 8
 
 
@@ -326,7 +346,7 @@ def test_rg_flow_divergent_input_names_its_order_and_writes_the_bounds(tmp_path)
     assert "numerical error" not in result.stderr
     assert json.loads((out / "flow_state.json").read_text())["order"] == 5
     lines = (out / "bounds.txt").read_text().splitlines()
-    assert "v=1;e=0->0 t^3 perturbation grade=3 exact=True ok=False" in lines
+    assert "v=1;e=0->0 t^3 perturbation grade=3 ok=False" in lines
     assert not (out / "resolvent.txt").exists()
 
 

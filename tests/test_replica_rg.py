@@ -1,14 +1,17 @@
 import itertools
+import time
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf
 
 import pytest
 
-from rmtlab.graphs import CapacityError, CumulantGraph, _union_roots, canonical_graph
+from rmtlab import replica_rg
+from rmtlab.graphs import (MAX_CANONICAL_EDGES, CapacityError, CumulantGraph, _union_roots,
+                           canonical_graph)
 from rmtlab.replica_rg import (DOUBLE_SELF_LOOP, TADPOLE, TWO_CYCLE, CumulantSpec,
-                               FlowInvariantError, FlowState, _series, _wick_pattern,
-                               _zero_series, check_bounds_flow, extract_resolvent,
+                               FlowInvariantError, FlowState, _edge_budget, _series,
+                               _wick_pattern, _zero_series, check_bounds_flow, extract_resolvent,
                                initial_potential, integrate_flow, rg_derivative,
                                to_distinct_basis, to_free_basis, wick_oracle, FREE_SUM)
 from rmtlab.ring import RingElement
@@ -29,18 +32,20 @@ def ring(**kw):
 
 
 def state_add(x: FlowState, y: FlowState) -> FlowState:
+    """The sum, on the narrower of the two cones."""
     assert x.order_t == y.order_t and x.basis == y.basis
-    table = {}
-    for g in set(x.table) | set(y.table):
-        table[g] = [x.coefficient(g, k) + y.coefficient(g, k)
-                    for k in range(x.order_t + 1)]
+    zero = _zero_series(x.order_t)
+    table = {g: [a + b for a, b in zip(x.table.get(g, zero), y.table.get(g, zero))]
+             for g in set(x.table) | set(y.table)}
     vac = [a + b for a, b in zip(x.vacuum, y.vacuum)]
-    return FlowState(x.order_t, x.basis, table, vac, x.max_edges)
+    cones = [c for c in (x.cone_edges, y.cone_edges) if c is not None]
+    return FlowState(x.order_t, x.basis, table, vac, {}, min(cones, default=None))
 
 
 def state_scale(x: FlowState, c) -> FlowState:
     table = {g: [coeff.scale(c) for coeff in series] for g, series in x.table.items()}
-    return FlowState(x.order_t, x.basis, table, [v.scale(c) for v in x.vacuum], x.max_edges)
+    return FlowState(x.order_t, x.basis, table, [v.scale(c) for v in x.vacuum], {},
+                     x.cone_edges)
 
 
 # --- initial potential ----------------------------------------------------------
@@ -75,9 +80,21 @@ def test_initial_perturbation_weight():
 
 
 def test_initial_rejects_oversized_graph():
-    big = CumulantGraph(2, tuple((0, 1) for _ in range(7)))
+    # past graphs.MAX_CANONICAL_EDGES = 8 no class can be formed
+    big = CumulantGraph(2, tuple((0, 1) for _ in range(9)))
     with pytest.raises(CapacityError):
-        initial_potential(CumulantSpec().with_perturbation(big, RingElement.one()))
+        initial_potential(CumulantSpec(perturbation=((big, RingElement.one()),)))
+
+
+def test_flow_refuses_a_budget_past_the_canonical_limit():
+    # a 7-edge graph is a t^0 potential, but one tree step could build
+    # 7 + 7 - 1 = 13 edges
+    big = CumulantGraph(2, tuple((0, 1) for _ in range(7)))
+    s0 = initial_potential(CumulantSpec().with_perturbation(big, RingElement.one()))
+    assert _edge_budget(s0, 1, inf) == 13
+    assert integrate_flow(s0, 0) == s0
+    with pytest.raises(CapacityError, match="13 edges"):
+        integrate_flow(s0, 1)
 
 
 def test_gaussian_spec_guard():
@@ -87,7 +104,7 @@ def test_gaussian_spec_guard():
 
 def test_basis_conversion_roundtrip():
     spec = SIGMA1.with_perturbation(TWO_TWO_CYCLES, RingElement.N_half(-1))
-    state = integrate_flow(initial_potential(spec), 2)
+    state = integrate_flow(initial_potential(spec), 2, 4)
     assert to_free_basis(to_distinct_basis(state)) == state
 
 
@@ -161,17 +178,25 @@ def test_second_order_semigroup_by_polarization():
 
     With R(X) = loop(X) + tree(X, X), linear loop and bilinear tree give
     loop(D) + tree(V, D) + tree(D, V) = R(V+D) - R(V) + R(D) - R(2D)/2.
+    A cone of 5 edges holds the whole flow to t^3; each derivative narrows
+    it by one edge, so the second one builds no graph past 6 edges.
     """
     order = 3
-    state = integrate_flow(initial_potential(SIGMA1), order)
+    state = integrate_flow(initial_potential(SIGMA1), order, 5)
+    assert state == integrate_flow(initial_potential(SIGMA1), order)
     d1 = rg_derivative(state)
     rhs = state_add(
         state_add(rg_derivative(state_add(state, d1)), state_scale(rg_derivative(state), -1)),
         state_add(rg_derivative(d1), state_scale(rg_derivative(state_scale(d1, 2)), Fraction(-1, 2))))
+    assert rhs.cone_edges == 3
+    checked = 0
     for g in set(state.table) | set(rhs.table):
         for k in range(order - 1):
-            want = state.coefficient(g, k + 2).scale((k + 1) * (k + 2))
-            assert rhs.coefficient(g, k) == want, (g.to_text(), k)
+            if in_cone(rhs, g, k):
+                want = state.coefficient(g, k + 2).scale((k + 1) * (k + 2))
+                assert rhs.coefficient(g, k) == want, (g.to_text(), k)
+                checked += 1
+    assert checked > 10
 
 
 # --- flow vs wick oracle -----------------------------------------------------------
@@ -221,7 +246,7 @@ def ordered_wick_reference(spec: CumulantSpec, order: int, max_edges: int) -> Fl
     """Brute-force Wick sum: every ordered tuple of m insertions with weight
     1/m!, every injective pattern of k out-halves onto k in-halves, and one
     ring update (or one tally) per connected pattern."""
-    base = initial_potential(spec, max_edges)
+    base = initial_potential(spec)
     classes = [(g, series[0]) for g, series in base.table.items() if series[0]]
     table = {g: series + [RingElement.zero()] * order for g, series in base.table.items()}
     vacuum = _zero_series(order)
@@ -254,7 +279,7 @@ def ordered_wick_reference(spec: CumulantSpec, order: int, max_edges: int) -> Fl
                         else:
                             series = _series(table, graph, order)
                             series[k] = series[k] + coeff
-    return FlowState(order, FREE_SUM, table, vacuum, max_edges, dict(trunc))
+    return FlowState(order, FREE_SUM, table, vacuum, dict(trunc))
 
 
 # name -> (spec, number of insertion classes in the free-sum basis)
@@ -287,7 +312,7 @@ def test_wick_tallies_ordered_patterns():
 # --- resolvent extraction -----------------------------------------------------------
 
 def test_resolvent_catalan_series():
-    state = integrate_flow(initial_potential(SIGMA1), 7)
+    state = integrate_flow(initial_potential(SIGMA1), 7, TADPOLE.num_edges)
     assert extract_resolvent(state, 7) == [1, 0, 1, 0, 2, 0, 5]
 
 
@@ -309,7 +334,7 @@ def test_resolvent_of_empty_potential_is_free():
 
 def test_resolvent_leading_coefficient_always_one():
     spec = SIGMA1.with_perturbation(TWO_TWO_CYCLES, RingElement.N_half(-1))
-    state = integrate_flow(initial_potential(spec), 3)
+    state = integrate_flow(initial_potential(spec), 3, TADPOLE.num_edges)
     assert extract_resolvent(state, 3)[0] == 1
 
 
@@ -326,12 +351,17 @@ def test_resolvent_flags_positive_grade():
         extract_resolvent(bad, 3)
 
 
-def test_truncation_flag():
-    assert not integrate_flow(initial_potential(SIGMA1), 3).truncated
-    state = integrate_flow(initial_potential(SIGMA1), 7)
-    assert state.truncated
-    # dropped terms are tallied per (t-order, edge count)
-    assert state.truncation_events == {(5, 7): 5, (6, 8): 4, (7, 7): 28, (7, 9): 3}
+def test_full_flow_past_the_budget_is_refused_before_any_term(monkeypatch):
+    def no_term(*args):
+        raise AssertionError("a term was flown")
+
+    monkeypatch.setattr(replica_rg, "_derivative_order", no_term)
+    s0 = initial_potential(SIGMA1)
+    assert _edge_budget(s0, 7, inf) == 9
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError, match="9 edges"):
+        integrate_flow(s0, 7)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_flow_order_capacity():
@@ -354,7 +384,7 @@ def test_pure_gaussian_bounds_hold_to_order_five():
 def test_eulerian_perturbation_grade_stays_negative():
     pert_value = RingElement.N_half(-1)  # strictly negative initial grade
     spec = SIGMA1.with_perturbation(TWO_TWO_CYCLES, pert_value)
-    state = integrate_flow(initial_potential(spec), 3)
+    state = integrate_flow(initial_potential(spec), 3, TADPOLE.num_edges)
     report = check_bounds_flow(state, spec)
     pert_entries = [e for e in report.entries if e.part == "perturbation"]
     assert pert_entries
@@ -374,30 +404,30 @@ def test_empty_perturbation_report_has_no_perturbation_rows():
 # --- serialization --------------------------------------------------------------------
 
 def test_flow_state_json_roundtrip():
-    for coeff, order, tally in [
-            (Fraction(1), 2, {}),
-            (Fraction(1, 2), 7, {(5, 7): 2368, (6, 8): 4832, (7, 7): 8018, (7, 9): 11776})]:
+    for coeff, order, cone in [(Fraction(1), 2, None), (Fraction(1, 2), 7, TADPOLE.num_edges)]:
         spec = SIGMA1.with_perturbation(DOUBLE_EDGE, RingElement.scalar(coeff))
-        state = integrate_flow(initial_potential(spec), order)
-        assert state.truncation_events == tally
-        again = FlowState.from_json(state.to_json())
+        state = integrate_flow(initial_potential(spec), order, cone)
+        doc = state.to_json()
+        # a flow drops nothing; the keys stay for the Wick oracle's tally
+        assert doc["truncated"] is False and doc["truncation_events"] == []
+        assert "max_edges" not in doc
+        again = FlowState.from_json(doc)
         assert again == state
-        assert again.truncation_events == tally
+        assert not again.truncation_events
         assert again.dumps() == state.dumps()
 
 
-# --- light cone and exactness certificate -----------------------------------------------
+# --- light cone and edge budget ------------------------------------------------------------
 
 QUARTIC = RingElement.scalar(Fraction(1, 2))
+FOUR_EDGES = CumulantGraph(3, ((0, 1), (0, 2), (1, 0), (2, 0)))
 SIX_EDGES = CumulantGraph(3, ((0, 1), (1, 2), (2, 0), (0, 2), (2, 1), (1, 0)))
 CONE_SPECS = [
-    (SIGMA1, 6),
-    (SIGMA1.with_perturbation(DOUBLE_EDGE, QUARTIC), 6),
-    (SIGMA1.with_perturbation(DOUBLE_EDGE, QUARTIC), 4),
-    (SIGMA1.with_perturbation(CumulantGraph(3, ((0, 1), (0, 2), (1, 0), (2, 0))),
-                              RingElement.scalar(Fraction(1, 4))), 6),
-    (SIGMA1.with_perturbation(TWO_TWO_CYCLES, RingElement.N_half(-1)), 6),
-    (SIGMA1.with_perturbation(SIX_EDGES, RingElement.scalar(Fraction(1, 3))), 6),
+    SIGMA1,
+    SIGMA1.with_perturbation(DOUBLE_EDGE, QUARTIC),
+    SIGMA1.with_perturbation(FOUR_EDGES, RingElement.scalar(Fraction(1, 4))),
+    SIGMA1.with_perturbation(TWO_TWO_CYCLES, RingElement.N_half(-1)),
+    SIGMA1.with_perturbation(SIX_EDGES, RingElement.scalar(Fraction(1, 3))),
 ]
 
 
@@ -405,85 +435,88 @@ def in_cone(state: FlowState, g: CumulantGraph, k: int) -> bool:
     return k == 0 or g.num_edges <= state.cone_edges + state.order_t - k
 
 
-def test_light_cone_equals_full_flow():
-    order = 7
-    for spec, max_edges in CONE_SPECS:
-        full = integrate_flow(initial_potential(spec, max_edges), order)
-        cone = integrate_flow(initial_potential(spec, max_edges), order, TADPOLE.num_edges)
-        assert cone.cone_edges == 1
-        checked = 0
-        for g in set(full.table) | set(cone.table):
-            for k in range(order + 1):
-                if in_cone(cone, g, k):
-                    assert cone.coefficient(g, k) == full.coefficient(g, k), (g.to_text(), k)
-                    checked += 1
-                else:
-                    assert not cone.coefficient(g, k) and not cone.is_exact(g, k)
-        assert checked > 50
-        assert cone.vacuum == full.vacuum
-        # the cone tallies exactly the full flow's drops that lie inside it
-        assert cone.truncation_events == {
-            (j, e): n for (j, e), n in full.truncation_events.items() if e <= 1 + order - j}
+def largest_graph(state: FlowState) -> int:
+    return max(g.num_edges for g, series in state.table.items() if any(series))
 
 
-def test_certificate_marks_what_a_cap_changes():
-    spec = SIGMA1.with_perturbation(SIX_EDGES, RingElement.scalar(Fraction(1, 3)))
-    capped = integrate_flow(initial_potential(spec, 6), 7, 1)
-    wide = integrate_flow(initial_potential(spec, 8), 7, 1)
-    assert capped.truncation_events == {(1, 7): 6}
-    assert not wide.truncation_events
-    certified = uncertified = changed = 0
-    for g in set(capped.table) | set(wide.table):
-        for k in range(8):
-            if not in_cone(wide, g, k):
-                continue
-            assert wide.is_exact(g, k)
-            same = capped.coefficient(g, k) == wide.coefficient(g, k)
-            if capped.is_exact(g, k):
-                certified += 1
-                assert same, (g.to_text(), k)
-            else:
-                uncertified += 1
-                changed += not same
-    assert certified > 100 and uncertified > 0 and changed > 0
-    assert capped.is_exact(TADPOLE, 6) and not capped.is_exact(TADPOLE, 7)
-    report = check_bounds_flow(capped, spec)
-    assert any(not e.exact for e in report.entries)
-    assert all(e.exact for e in check_bounds_flow(wide, spec).entries)
-
-
-def test_resolvent_refuses_inexact_tadpole():
-    for max_edges, first_inexact in ((2, 3), (3, 5), (4, 7)):
-        state = integrate_flow(initial_potential(SIGMA1, max_edges), 7, 1)
-        assert [k for k in range(8) if not state.is_exact(TADPOLE, k)] == \
-            list(range(first_inexact, 8))
-        with pytest.raises(CapacityError, match=rf"t\^{first_inexact} .*max_edges={max_edges}"):
-            extract_resolvent(state, first_inexact + 2)
-        assert extract_resolvent(state, first_inexact + 1) == \
-            [1, 0, 1, 0, 2, 0, 5, 0][:first_inexact + 1]
-
-
-def test_derivative_certificate():
-    spec = SIGMA1.with_perturbation(DOUBLE_EDGE, QUARTIC)
-    cone = rg_derivative(integrate_flow(initial_potential(spec), 5, 1))
-    full = rg_derivative(integrate_flow(initial_potential(spec), 5))
-    assert cone.cone_edges == 0
-    for g in set(full.table) | set(cone.table):
-        for k in range(6):
-            assert cone.is_exact(g, k) == in_cone(cone, g, k)
+def assert_cone_matches(cone: FlowState, reference: FlowState) -> int:
+    """Every read inside ``cone`` equals ``reference``; every read outside
+    it raises.  Returns the number of coefficients compared."""
+    checked = 0
+    for g in set(reference.table) | set(cone.table):
+        for k in range(cone.order_t + 1):
             if in_cone(cone, g, k):
-                assert cone.coefficient(g, k) == full.coefficient(g, k), (g.to_text(), k)
-    # the t^k derivative is (k+1) times the flow's t^(k+1): under max_edges 2
-    # the tadpole is inexact from t^3, so its derivative from t^2
-    capped = rg_derivative(integrate_flow(initial_potential(SIGMA1, 2), 4))
-    wide = rg_derivative(integrate_flow(initial_potential(SIGMA1), 4))
-    assert [k for k in range(5) if capped.is_exact(TADPOLE, k)] == [0, 1]
-    assert capped.coefficient(TADPOLE, 2) != wide.coefficient(TADPOLE, 2)
-    for g in capped.table:
-        for k in range(5):
-            assert wide.is_exact(g, k)
-            if capped.is_exact(g, k):
-                assert capped.coefficient(g, k) == wide.coefficient(g, k), (g.to_text(), k)
+                assert cone.coefficient(g, k) == reference.coefficient(g, k), (g.to_text(), k)
+                checked += 1
+            else:
+                with pytest.raises(ValueError, match="outside the cone"):
+                    cone.coefficient(g, k)
+    assert cone.vacuum == reference.vacuum
+    return checked
+
+
+def test_light_cone_equals_full_flow():
+    # the full flow where its budget stays small: at most 6 edges by t^4 for
+    # the two-edge specs, 7 edges at t^1 for the four-edge ones
+    for spec in CONE_SPECS:
+        s0 = initial_potential(spec)
+        order = {2: 4, 4: 1}.get(largest_graph(s0))
+        if order is None:
+            continue
+        cone = integrate_flow(s0, order, TADPOLE.num_edges)
+        assert cone.cone_edges == 1
+        assert assert_cone_matches(cone, integrate_flow(s0, order)) > 10
+
+
+def test_light_cone_equals_a_wider_cone():
+    # at t^7 a full flow is past the canonical limit for every spec; a cone one
+    # edge wider holds every coefficient of the tadpole's cone
+    for spec in CONE_SPECS:
+        s0 = initial_potential(spec)
+        cone = integrate_flow(s0, 7, TADPOLE.num_edges)
+        wide = integrate_flow(s0, 7, 2)
+        assert assert_cone_matches(cone, wide) > 50
+
+
+@pytest.mark.parametrize("order, cone", [(7, 1), (8, 1), (7, 2), (3, 3), (2, 4), (1, None),
+                                         (4, None)])
+def test_edge_budget_bounds_the_largest_graph(order, cone):
+    for spec in CONE_SPECS:
+        s0 = initial_potential(spec)
+        budget = _edge_budget(s0, order, inf if cone is None else cone + order)
+        if budget > MAX_CANONICAL_EDGES:
+            with pytest.raises(CapacityError, match=f"{budget} edges"):
+                integrate_flow(s0, order, cone)
+            continue
+        built = largest_graph(integrate_flow(s0, order, cone))
+        # the six-edge spec's t^0 classes have 6 or 2 edges: a t^1 tree term
+        # builds 11 edges, past the cone, or 7, short of the budget's 8
+        assert built == (7 if largest_graph(s0) == 6 and budget == 8 else budget)
+
+
+def test_cone_coefficient_outside_the_cone_raises():
+    state = integrate_flow(initial_potential(SIGMA1.with_perturbation(DOUBLE_EDGE, QUARTIC)),
+                           5, TADPOLE.num_edges)
+    assert state.coefficient(TWO_CYCLE, 4)
+    with pytest.raises(ValueError, match=r"t\^5 of v=2;e=0->1,1->0 lies outside the cone"):
+        state.coefficient(TWO_CYCLE, 5)
+    # every graph keeps its t^0 coefficient, and orders past the state read zero
+    assert state.coefficient(DOUBLE_EDGE, 0)
+    assert not state.coefficient(TADPOLE, 6)
+    # the tadpole's cone covers the tadpole at every order; the derivative's
+    # cone is one edge narrower and leaves out its last one
+    assert extract_resolvent(state, 7) == [1, 0, 1, 0, 2, 0, 5]
+    with pytest.raises(ValueError, match=r"t\^5 of v=1;e=0->0 lies outside the cone"):
+        extract_resolvent(rg_derivative(state), 7)
+
+
+def test_derivative_narrows_the_cone():
+    s0 = initial_potential(SIGMA1.with_perturbation(DOUBLE_EDGE, QUARTIC))
+    # against the full derivative, and past t^3 against a wider cone's
+    for order, reference in ((3, None), (5, 3)):
+        cone = rg_derivative(integrate_flow(s0, order, 1))
+        assert cone.cone_edges == 0
+        assert assert_cone_matches(cone, rg_derivative(integrate_flow(s0, order, reference))) > 10
 
 
 @pytest.mark.parametrize("cone", [None, 0, 1, 2])
@@ -512,16 +545,14 @@ def test_flow_refuses_negative_order():
         integrate_flow(initial_potential(SIGMA1), -1)
 
 
-@pytest.mark.parametrize("key", ["max_edges", "truncation_events"])
-def test_flow_state_json_requires_certificate_inputs(key):
-    # under max_edges 2 the tadpole's t^7 coefficient is not certified; a file
-    # that lost either input must not read back as a certified state
-    state = integrate_flow(initial_potential(SIGMA1, 2), 7, 1)
-    with pytest.raises(CapacityError):
-        extract_resolvent(state, 7)
-    doc = state.to_json()
-    del doc[key]
-    with pytest.raises(ValueError, match=key):
+def test_flow_state_json_refuses_a_capped_flow():
+    # a file that carries max_edges comes from a flow that capped its graphs
+    # and could drop terms, so it must not read back as a complete state
+    doc = integrate_flow(initial_potential(SIGMA1), 7, 1).to_json()
+    with pytest.raises(ValueError, match="max_edges"):
+        FlowState.from_json({**doc, "max_edges": 6})
+    del doc["truncation_events"]
+    with pytest.raises(ValueError, match="truncation_events"):
         FlowState.from_json(doc)
 
 
