@@ -24,7 +24,8 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig
 from .cumulant_scan import scan_graph
 from .ensembles import ParameterError
-from .graphs import CapacityError, CumulantGraph, GraphParseError, scaling_exponent
+from .graphs import (MIN_TREND_SIZES, CapacityError, CumulantGraph, GraphParseError,
+                     scaling_exponent)
 from .linalg import RngHandle
 from .partitions import MAX_CUMULANT_ENTRIES
 from .replica_rg import (MAX_FLOW_ORDER, TADPOLE, CumulantSpec,
@@ -193,6 +194,9 @@ def cmd_cumulant_scan(config: ExperimentConfig, out_dir: Path) -> int:
                               f"{g.num_vertices}-vertex graph {g.to_text()}")
     if config.samples_per_n < 3:
         raise ConfigError("samples_per_n: cumulant-scan needs at least 3 for a jackknife error")
+    if len(config.n_grid) < MIN_TREND_SIZES:
+        raise ConfigError(f"n_grid: cumulant-scan needs at least {MIN_TREND_SIZES} sizes to "
+                          "classify a trend")
     with OutputLock(out_dir):
         rng = RngHandle(config.seed, 0)
         text = io.StringIO()

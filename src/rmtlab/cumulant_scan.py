@@ -2,7 +2,8 @@
 
 For a cumulant graph the estimator reads one entry per edge at disjoint
 index tuples, drawing only those entries of each sample (``entry_stream``,
-no N x N assembly), averages the subset products per sample, inverts sample
+no N x N assembly), averages the subset products per sample (the arithmetic
+runs once per block of samples), inverts sample
 moments into a cumulant (k-statistics via the partition Moebius formula)
 and attaches a delete-one jackknife standard error.
 """
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, entry_stream
+from .ensembles import ENTRY_BLOCK, EnsembleSpec, entry_stream
 from .graphs import BoundVerdict, CapacityError, CumulantGraph, classify_bound
 from .linalg import RngHandle
 from .partitions import MAX_CUMULANT_ENTRIES, cumulants_from_moments
@@ -66,15 +67,20 @@ def estimate_entry_cumulant(spec: EnsembleSpec, graph: CumulantGraph, n: int,
     offsets = np.arange(tuples) * v
     sources = np.array([s for s, _ in graph.edges])[:, None] + offsets
     targets = np.array([t for _, t in graph.edges])[:, None] + offsets
-    entries = np.ones((e + 1, tuples), dtype=complex)
+    # a block's entries edge by edge, [edges + 1, block, tuples], over a row of ones
+    entries = np.ones((e + 1, ENTRY_BLOCK, tuples), dtype=complex)
     per_sample = np.empty((len(row_of), samples), dtype=complex)
-    for s_idx, values in enumerate(entry_stream(spec, n, samples, rng, sources, targets)):
-        entries[:e] = values
-        gathered = entries[factors]
-        prod = gathered[:, 0]
+    start = 0
+    for block in entry_stream(spec, n, samples, rng, sources, targets):
+        b = len(block)
+        entries[:e, :b] = block.swapaxes(0, 1)
+        # each subset's product over the block, [subsets, block, tuples], formed
+        # factor by factor in the per-sample order: left to right over e factors
+        prod = entries[factors[:, 0], :b]
         for j in range(1, e):
-            prod = prod * gathered[:, j]
-        per_sample[:, s_idx] = prod.sum(axis=1)
+            prod *= entries[factors[:, j], :b]
+        prod.sum(axis=2, out=per_sample[:, start:start + b])
+        start += b
     # the per-sample means, in one division: the bits of prod.mean(axis=1)
     per_sample /= tuples
 

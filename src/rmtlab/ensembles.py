@@ -9,11 +9,12 @@ diagonal variance sigma^2 by default (configurable).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .linalg import MAX_MATRIX_SIZE, HermitianMatrix, RngHandle, standard_comple
 from .partitions import cumulants_from_moments, moments_from_cumulants
 
 KINDS = ("gue", "wigner", "common_factor", "damped_common_factor", "quartic_invariant")
+FACTOR_KINDS = ("common_factor", "damped_common_factor")
 
 ACCEPTANCE_WINDOW = (0.1, 0.9)
 
@@ -182,19 +184,29 @@ def _reject_unknown(doc: Mapping, known: set, where: str):
 # ---------------------------------------------------------------------------
 
 
-def _draw_entries(rng: RngHandle, dist: str, size: int) -> np.ndarray:
-    """Mean-0 variance-1 real draws; inverse-CDF forms keep streams portable."""
+def _draw_entries(rng: RngHandle, dist: str, size: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Mean-0 variance-1 real draws, written into ``out`` when it is given;
+    inverse-CDF forms keep streams portable."""
     if dist == "gaussian":
-        return rng.normals(size)
+        return rng.normals(size, out=out)
     if dist == "rademacher":
         # -1 below 1/2, +1 from 1/2 on, written into the uniform buffer itself
-        values = rng.uniform(size)
+        values = rng.uniform(size, out=out)
         values -= 0.5
         return np.copysign(1.0, values, out=values)
     if dist == "uniform":
-        return (2.0 * rng.uniform(size) - 1.0) * math.sqrt(3.0)
+        # (2u - 1) sqrt(3) in place: the same three roundings as out of place
+        values = rng.uniform(size, out=out)
+        values *= 2.0
+        values -= 1.0
+        values *= math.sqrt(3.0)
+        return values
     if dist == "centered_exponential":
-        return -np.log1p(-rng.uniform(size)) - 1.0
+        values = rng.uniform(size, out=out)
+        # log1p reads a fresh array, so its vector loop does not depend on out
+        np.subtract(-np.log1p(-values), 1.0, out=values)
+        return values
     raise ParameterError(f"unknown entry_dist {dist!r}")
 
 
@@ -204,35 +216,43 @@ def _entry_dist(spec: EnsembleSpec) -> str:
     return "gaussian" if spec.kind == "gue" else spec.entry_dist
 
 
-def _draw_triangle(spec: EnsembleSpec, rng: RngHandle, pairs: int, diagonal: int,
-                   factor: float = 1.0) -> np.ndarray:
+def _draw_triangle(spec: EnsembleSpec, n: int, handles: Iterable[RngHandle], count: int,
+                   pairs: int, diagonal: int) -> tuple[np.ndarray, np.ndarray | None]:
     """The scaled draws of ``pairs`` off-diagonal and ``diagonal`` diagonal
-    entries in one x | y | diag buffer: the real parts of the pairs, then
-    their imaginary parts, then the diagonal; each scaled and then
-    multiplied by ``factor``.
+    entries of ``count`` samples, one row per sample, each row an x | y |
+    diag buffer: the real parts of the pairs, then their imaginary parts,
+    then the diagonal; and the samples' factors, None for the
+    independent-entry kinds.
 
-    All 2 pairs + diagonal of them come from one draw call; consecutive
-    calls would draw the same bits.  A whole matrix is the n(n - 1)/2 pairs
-    of the strict upper triangle, in ``np.triu_indices(n, k=1)`` order, and
-    the n diagonal entries."""
-    draws = _draw_entries(rng, _entry_dist(spec), 2 * pairs + diagonal)
-    draws[:2 * pairs] *= spec.sigma / math.sqrt(2.0)
-    draws[2 * pairs:] *= math.sqrt(spec.diag_variance)
-    if factor != 1.0:
-        draws *= factor
-    return draws
+    Sample k draws from the k-th of ``handles``, which must yield ``count``
+    of them: the factor of a common-factor kind, then all 2 pairs + diagonal
+    entries in one draw call (consecutive calls would draw the same bits).
+    Only then, once for the block, is each row scaled and then multiplied by
+    its factor, elementwise, so every row holds the bits of a draw scaled on
+    its own.  A whole matrix is the n(n - 1)/2 pairs of the strict upper
+    triangle, in ``np.triu_indices(n, k=1)`` order, and the n diagonal
+    entries."""
+    dist = _entry_dist(spec)
+    draws = np.empty((count, 2 * pairs + diagonal))
+    factors = None if spec.kind not in FACTOR_KINDS else np.empty(count)
+    for k, rng in zip(range(count), handles):
+        if factors is not None:
+            factors[k] = _draw_factor(spec, n, rng)
+        _draw_entries(rng, dist, 2 * pairs + diagonal, out=draws[k])
+    draws[:, :2 * pairs] *= spec.sigma / math.sqrt(2.0)
+    draws[:, 2 * pairs:] *= math.sqrt(spec.diag_variance)
+    if factors is not None:
+        draws *= factors[:, None]
+    return draws, factors
 
 
-def _draw_factor(spec: EnsembleSpec, n: int, rng: RngHandle) -> float | None:
-    """The scalar factor g of a common-factor kind, drawn before the entries;
-    None, with no draw, for the independent-entry kinds."""
+def _draw_factor(spec: EnsembleSpec, n: int, rng: RngHandle) -> float:
+    """The scalar factor g of a common-factor kind, drawn before the entries."""
     if spec.kind == "common_factor":
         values, weights = spec.factor_dist.float_law
         return values[rng.choice_index(weights)]
-    if spec.kind == "damped_common_factor":
-        xi = -1.0 if rng.uniform() < 0.5 else 1.0
-        return 1.0 + xi * float(n) ** (-spec.damping_alpha / 2.0)
-    return None
+    xi = -1.0 if rng.uniform() < 0.5 else 1.0
+    return 1.0 + xi * float(n) ** (-spec.damping_alpha / 2.0)
 
 
 def _check_matrix_size(n: int):
@@ -247,10 +267,11 @@ def sample(spec: EnsembleSpec, n: int, rng: RngHandle) -> HermitianMatrix:
     _check_matrix_size(n)
     if spec.kind == "quartic_invariant":
         return next(sample_stream(spec, n, 1, rng))
-    g = _draw_factor(spec, n, rng)
-    meta = {"kind": spec.kind} if g is None else {"kind": spec.kind, "factor": g}
     m = n * (n - 1) // 2
-    draws = _draw_triangle(spec, rng, m, n, 1.0 if g is None else g)
+    (draws,), factors = _draw_triangle(spec, n, (rng,), 1, m, n)
+    meta = {"kind": spec.kind}
+    if factors is not None:
+        meta["factor"] = float(factors[0])
     return HermitianMatrix.from_triangle(draws[:m], draws[m:2 * m], draws[2 * m:], meta)
 
 
@@ -267,23 +288,37 @@ def sample_stream(spec: EnsembleSpec, n: int, count: int, rng: RngHandle) -> Ite
         yield sample(spec, n, sub)
 
 
+# Samples per entry_stream block.  Each sample still takes its own handle
+# and draw call; the scaling, gather and assembly run once per block.  16 is
+# the smallest block at which the cumulant scan's time levels off, and it
+# holds the estimator's [subsets, block, tuples] products at well under 1 MiB
+# (BENCH_scan_blocks.json).
+ENTRY_BLOCK = 16
+
+
 def entry_stream(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
                  rows, cols) -> Iterator[np.ndarray]:
-    """``M_s[rows, cols]`` for ``count`` samples ``M_s`` of the ensemble: for
-    each sample, the entries at ``rows, cols`` (integers in [0, n),
-    broadcast together), as ``sample_stream`` would give them.
+    """``M_s[rows, cols]`` for ``count`` samples ``M_s`` of the ensemble, in
+    blocks of ``ENTRY_BLOCK`` samples (the last one shorter when
+    ``ENTRY_BLOCK`` does not divide ``count``): each block is an array of
+    shape ``(samples, *shape)``, whose row for sample s holds the entries
+    at ``rows, cols`` (integers in [0, n), broadcast together to ``shape``),
+    as ``sample_stream`` would give them.
 
     The entry-wise kinds draw only the entries read, with no N x N
     assembly.  Sample s takes substream s, as ``sample_stream`` does, draws
-    the factor of a common-factor kind and then ``_draw_triangle`` over the
-    distinct upper-triangle positions read (in ``np.triu_indices(n, k=1)``
-    order) and the distinct diagonal indices read (ascending): ``sample``'s
-    buffer restricted to what is read.  ``x + iy`` goes above the diagonal,
-    its conjugate below, and the real diagonal draw on it.  A read of every
-    entry is therefore ``sample_stream`` bit for bit; a read of fewer has
-    the same joint law but other bytes.  The unitarily invariant quartic
-    kind has no entry-wise law and reads its assembled matrices.  The size
-    and the indices are checked when the stream is made."""
+    the factor of a common-factor kind and then ``_draw_triangle``'s row
+    over the distinct upper-triangle positions read (in
+    ``np.triu_indices(n, k=1)`` order) and the distinct diagonal indices
+    read (ascending): ``sample``'s buffer restricted to what is read.
+    ``x + iy`` goes above the diagonal, its conjugate below, and the real
+    diagonal draw on it.  A read of every entry is therefore
+    ``sample_stream`` bit for bit; a read of fewer has the same joint law
+    but other bytes.  The draws are made per sample; the scaling and the
+    assembly run once per block, elementwise, so the blocking changes no
+    bit.  The unitarily invariant quartic kind has no entry-wise law and
+    stacks the entries of its assembled matrices.  The size and the indices
+    are checked when the stream is made."""
     _check_matrix_size(n)
     rows, cols = np.broadcast_arrays(np.asarray(rows), np.asarray(cols))
     if not (np.issubdtype(rows.dtype, np.integer) and np.issubdtype(cols.dtype, np.integer)):
@@ -291,8 +326,17 @@ def entry_stream(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
     if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
         raise IndexError(f"entry indices must lie in [0, {n})")
     if spec.kind == "quartic_invariant":
-        return (matrix.data[rows, cols] for matrix in sample_stream(spec, n, count, rng))
+        return _matrix_entries(spec, n, count, rng, rows, cols)
     return _triangle_entries(spec, n, count, rng, rows, cols)
+
+
+def _matrix_entries(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
+                    rows: np.ndarray, cols: np.ndarray) -> Iterator[np.ndarray]:
+    """``entry_stream`` read from whole matrices, on checked indices."""
+    matrices = sample_stream(spec, n, count, rng)
+    for start in range(0, count, ENTRY_BLOCK):
+        block = itertools.islice(matrices, min(ENTRY_BLOCK, count - start))
+        yield np.stack([matrix.data[rows, cols] for matrix in block])
 
 
 def _triangle_entries(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
@@ -315,14 +359,16 @@ def _triangle_entries(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
     gather[on] = 2 * p + diagonal_of
     gather[size:] = p + pair_of
     conjugated = size + above.size
-    for sub in rng.rekeyed_substreams(range(count)):
-        g = _draw_factor(spec, n, sub)
-        values = _draw_triangle(spec, sub, p, diagonal.size, 1.0 if g is None else g)[gather]
-        np.negative(values[conjugated:], out=values[conjugated:])
-        out = np.zeros(size, dtype=complex)
-        out.real = values[:size]
-        out.imag[off_diagonal] = values[size:]
-        yield out.reshape(rows.shape)
+    handles = rng.rekeyed_substreams(range(count))
+    for start in range(0, count, ENTRY_BLOCK):
+        b = min(ENTRY_BLOCK, count - start)
+        draws, _ = _draw_triangle(spec, n, handles, b, p, diagonal.size)
+        values = draws[:, gather]
+        np.negative(values[:, conjugated:], out=values[:, conjugated:])
+        out = np.zeros((b, size), dtype=complex)
+        out.real = values[:, :size]
+        out.imag[:, off_diagonal] = values[:, size:]
+        yield out.reshape((b, *rows.shape))
 
 
 class QuarticChain:

@@ -294,6 +294,8 @@ class BoundClassification:
 VANISH_EXPONENT = 0.5
 GROWTH_FACTOR = 1.5
 NOISE_SIGMAS = 5.0
+# The fewest N values a trend is classified from.
+MIN_TREND_SIZES = 3
 
 
 def classify_bound(
@@ -309,8 +311,8 @@ def classify_bound(
     first N to the last, for non-Eulerian ones they must stay bounded.  When
     stderrs are given, data indistinguishable from zero counts as vanishing.
     """
-    if len(scaled_values) < 3:
-        raise ValueError("need at least three N values")
+    if len(scaled_values) < MIN_TREND_SIZES:
+        raise ValueError(f"need at least {MIN_TREND_SIZES} N values")
     ns = [n for n, _ in scaled_values]
     if ns != sorted(ns) or len(set(ns)) != len(ns):
         raise ValueError("N values must be strictly ascending")

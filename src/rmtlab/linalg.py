@@ -76,9 +76,11 @@ class RngHandle:
         so a draw from a stale handle raises instead of drawing another
         stream."""
         gen = np.random.Generator(np.random.Philox(0))
+        # the setter reads the state word by word: plain ints cost less than
+        # numpy scalars
         state = {"bit_generator": "Philox",
-                 "state": {"counter": np.zeros(4, np.uint64), "key": None},
-                 "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                 "state": {"counter": [0, 0, 0, 0], "key": None},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                  "has_uint32": 0, "uinteger": 0}
         child = None
         for i in ids:
@@ -92,11 +94,13 @@ class RngHandle:
         if child is not None:
             child._gen = None
 
-    def normals(self, size=None) -> np.ndarray:
-        return self._gen.standard_normal(size)
+    def normals(self, size=None, out: np.ndarray | None = None) -> np.ndarray:
+        """Standard normals; written into ``out`` when it is given."""
+        return self._gen.standard_normal(size, out=out)
 
-    def uniform(self, size=None):
-        return self._gen.random(size)
+    def uniform(self, size=None, out: np.ndarray | None = None):
+        """Uniforms on [0, 1); written into ``out`` when it is given."""
+        return self._gen.random(size, out=out)
 
     def choice_index(self, weights: Sequence[float]) -> int:
         u = self._gen.random()

@@ -191,18 +191,19 @@ def test_failed_write_keeps_existing_output(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("fields, message", [
     ({"samples_per_n": 2}, "samples_per_n: cumulant-scan needs at least 3"),
-    ({"n_grid": [3, 8]}, "n_grid: size 3 is too small for the 4-vertex graph"),
+    ({"n_grid": [8, 16]}, "n_grid: cumulant-scan needs at least 3 sizes"),
+    ({"n_grid": [3, 8, 16]}, "n_grid: size 3 is too small for the 4-vertex graph"),
     # the first graph would be scanned in full before the second is refused
-    ({"n_grid": [3, 8], "graphs_to_scan": ["v=2;e=0->1,1->0", "v=4;e=0->1,1->0,2->3,3->2"]},
+    ({"n_grid": [3, 8, 16], "graphs_to_scan": ["v=2;e=0->1,1->0", "v=4;e=0->1,1->0,2->3,3->2"]},
      "n_grid: size 3 is too small for the 4-vertex graph")],
-    ids=["two_samples", "small_n", "small_n_for_the_second_graph"])
+    ids=["two_samples", "short_grid", "small_n", "small_n_for_the_second_graph"])
 def test_cumulant_scan_refused_input_exits_2_before_making_the_output_directory(
         tmp_path, capsys, monkeypatch, fields, message):
     def no_scan(*args):
         raise AssertionError("a graph was scanned")
 
     monkeypatch.setattr(cli, "scan_graph", no_scan)
-    doc = {**GUE_DOC, "n_grid": [4, 8], "samples_per_n": 20,
+    doc = {**GUE_DOC, "n_grid": [4, 8, 16], "samples_per_n": 20,
            "graphs_to_scan": ["v=4;e=0->1,1->0,2->3,3->2"], **fields}
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"

@@ -9,7 +9,7 @@ import pytest
 import sympy as sp
 
 from rmtlab import ensembles
-from rmtlab.ensembles import (EnsembleSpec, FactorDistribution, MetropolisParams,
+from rmtlab.ensembles import (ENTRY_BLOCK, EnsembleSpec, FactorDistribution, MetropolisParams,
                               ParameterError, QuarticChain, entry_cumulant_oracle, entry_stream,
                               sample, sample_stream)
 from rmtlab.graphs import CumulantGraph
@@ -147,10 +147,13 @@ def test_common_factor_scales_whole_matrix():
     m = sample(spec, 6, RngHandle(77, 0))
     g = m.meta["factor"]
     assert g in set(np.sqrt([0.5, 1.5]))
-    # replay the draw order: one factor draw, then the unscaled triangle
+    # replay the draw order: one factor draw, then the triangle of the same
+    # law without a factor
     rng = RngHandle(77, 0)
     rng.choice_index([float(w) for w in spec.factor_dist.weights])
-    draws = _draw_triangle(spec, rng, 15, 6) * g  # x | y | diag, 15 + 15 + 6
+    (draws,), factors = _draw_triangle(EnsembleSpec("wigner"), 6, (rng,), 1, 15, 6)
+    assert factors is None
+    draws = draws * g  # x | y | diag, 15 + 15 + 6
     w = HermitianMatrix.from_triangle(draws[:15], draws[15:30], draws[30:])
     assert np.array_equal(m.data, w.data)
 
@@ -239,8 +242,8 @@ def test_streams_above_2_pow_63_match_a_fresh_handle_reference(spec):
     *_, matrix = sample_stream(spec, n, s + 1, rng)
     assert matrix.data.tobytes() == want
     rows, cols = np.indices((n, n))
-    *_, entries = entry_stream(spec, n, s + 1, rng, rows, cols)
-    assert entries.tobytes() == want
+    *_, block = entry_stream(spec, n, s + 1, rng, rows, cols)
+    assert block[-1].tobytes() == want
 
 
 # above, on and below the diagonal, with repeats
@@ -259,12 +262,17 @@ ENTRY_WISE_SPECS = {
 }
 
 
+QUARTIC_SPEC = EnsembleSpec("quartic_invariant", quartic_g=0.1, sigma=1.2,
+                            metropolis=MetropolisParams(steps=1, step_size=1.0, burn_in=5))
+
+
 def restricted_reference(spec: EnsembleSpec, n: int, count: int, rng: RngHandle, rows, cols):
-    """``entry_stream`` written as a plain loop.  Sample s: substream s, the
-    factor, then one draw of x | y | diag over the distinct upper-triangle
-    pairs read, in ``np.triu_indices`` order, and the distinct diagonal
-    indices read, ascending; each entry is then looked up by position.  The
-    quartic kind reads its assembled matrices."""
+    """``entry_stream``'s samples written as a plain loop, one array per
+    sample.  Sample s: substream s, the factor, then one draw of x | y |
+    diag over the distinct upper-triangle pairs read, in ``np.triu_indices``
+    order, and the distinct diagonal indices read, ascending; each entry is
+    then scaled on its own and looked up by position.  The quartic kind
+    reads its assembled matrices."""
     from rmtlab.ensembles import _draw_entries
     rows, cols = np.broadcast_arrays(np.asarray(rows), np.asarray(cols))
     if spec.kind == "quartic_invariant":
@@ -293,14 +301,23 @@ def restricted_reference(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
         yield np.array([value[i, j] for i, j in read], dtype=complex).reshape(rows.shape)
 
 
-@pytest.mark.parametrize("spec", [
-    *ENTRY_WISE_SPECS.values(),
-    EnsembleSpec("quartic_invariant", quartic_g=0.1, sigma=1.2,
-                 metropolis=MetropolisParams(steps=1, step_size=1.0, burn_in=5))],
-    ids=[*ENTRY_WISE_SPECS, "quartic"])
+def in_blocks(samples, size: int = ENTRY_BLOCK):
+    """Per-sample arrays stacked into ``entry_stream``'s blocks."""
+    samples = iter(samples)
+    while block := list(itertools.islice(samples, size)):
+        yield np.stack(block)
+
+
+def samples_of(blocks) -> list[np.ndarray]:
+    """The per-sample rows of ``entry_stream``'s blocks."""
+    return [row for block in blocks for row in block]
+
+
+@pytest.mark.parametrize("spec", [*ENTRY_WISE_SPECS.values(), QUARTIC_SPEC],
+                         ids=[*ENTRY_WISE_SPECS, "quartic"])
 @pytest.mark.parametrize("n", [7, 12])
 def test_entry_stream_equals_the_restricted_draw_reference(spec, n):
-    got = list(entry_stream(spec, n, 6, RngHandle(71, 3), ENTRY_ROWS, ENTRY_COLS))
+    got = samples_of(entry_stream(spec, n, 6, RngHandle(71, 3), ENTRY_ROWS, ENTRY_COLS))
     want = list(restricted_reference(spec, n, 6, RngHandle(71, 3), ENTRY_ROWS, ENTRY_COLS))
     assert len(got) == len(want) == 6
     for a, b in zip(got, want):
@@ -314,17 +331,37 @@ def test_entry_stream_equals_the_restricted_draw_reference(spec, n):
 def test_entry_stream_reading_every_entry_equals_sample_stream(spec, n):
     # the restricted buffer of a read of every entry is sample's whole buffer
     rows, cols = np.indices((n, n))
-    got = [a.tobytes() for a in entry_stream(spec, n, 6, RngHandle(71, 3), rows, cols)]
+    got = [a.tobytes() for a in samples_of(entry_stream(spec, n, 6, RngHandle(71, 3), rows, cols))]
     want = [m.data.tobytes() for m in sample_stream(spec, n, 6, RngHandle(71, 3))]
     assert got == want
 
 
+@pytest.mark.parametrize("count", [1, ENTRY_BLOCK - 1, ENTRY_BLOCK, ENTRY_BLOCK + 1,
+                                   2 * ENTRY_BLOCK + 1])
+@pytest.mark.parametrize("spec", [*ENTRY_WISE_SPECS.values(), QUARTIC_SPEC],
+                         ids=[*ENTRY_WISE_SPECS, "quartic"])
+def test_entry_stream_blocks_keep_every_byte_at_block_boundaries(spec, count):
+    n = 9
+    blocks = list(entry_stream(spec, n, count, RngHandle(72, 1), ENTRY_ROWS, ENTRY_COLS))
+    assert [len(b) for b in blocks] == [min(ENTRY_BLOCK, count - start)
+                                        for start in range(0, count, ENTRY_BLOCK)]
+    got = np.concatenate(blocks)
+    want = np.stack(list(restricted_reference(spec, n, count, RngHandle(72, 1), ENTRY_ROWS,
+                                              ENTRY_COLS)))
+    assert got.shape == want.shape == (count, *ENTRY_ROWS.shape)
+    assert got.tobytes() == want.tobytes()
+    rows, cols = np.indices((n, n))
+    every = np.concatenate(list(entry_stream(spec, n, count, RngHandle(72, 1), rows, cols)))
+    matrices = np.stack([m.data for m in sample_stream(spec, n, count, RngHandle(72, 1))])
+    assert every.tobytes() == matrices.tobytes()
+
+
 @pytest.mark.parametrize("spec", ENTRY_WISE_SPECS.values(), ids=ENTRY_WISE_SPECS)
 def test_entry_stream_of_fewer_samples_is_a_prefix(spec):
-    short = [a.tobytes() for a in entry_stream(spec, 9, 4, RngHandle(71, 3),
-                                               ENTRY_ROWS, ENTRY_COLS)]
-    long = [a.tobytes() for a in entry_stream(spec, 9, 11, RngHandle(71, 3),
-                                              ENTRY_ROWS, ENTRY_COLS)]
+    short = [a.tobytes() for a in samples_of(entry_stream(spec, 9, 4, RngHandle(71, 3),
+                                                          ENTRY_ROWS, ENTRY_COLS))]
+    long = [a.tobytes() for a in samples_of(entry_stream(spec, 9, 11, RngHandle(71, 3),
+                                                         ENTRY_ROWS, ENTRY_COLS))]
     assert len(long) == 11 and long[:4] == short
 
 
@@ -343,31 +380,31 @@ def test_entry_stream_starts_no_thread(monkeypatch):
     monkeypatch.setattr(ensembles, "_draw_triangle", traced)
     before = threading.enumerate()
     for spec in ENTRY_WISE_SPECS.values():
-        assert len(list(entry_stream(spec, 12, 200, RngHandle(2, 0), ENTRY_ROWS,
-                                     ENTRY_COLS))) == 200
+        assert len(samples_of(entry_stream(spec, 12, 200, RngHandle(2, 0), ENTRY_ROWS,
+                                           ENTRY_COLS))) == 200
     assert threads == {threading.current_thread().name}
     assert threading.enumerate() == before
 
 
 def test_entry_stream_draw_error_reaches_the_caller_unchanged(monkeypatch):
-    draw = ensembles._draw_triangle
+    draw = ensembles._draw_entries
     error = ParameterError("draw failed")
     calls = []
 
-    def failing(*args):
+    def failing(*args, **kwargs):
         calls.append(None)
         if len(calls) == 70:
             raise error
-        return draw(*args)
+        return draw(*args, **kwargs)
 
-    monkeypatch.setattr(ensembles, "_draw_triangle", failing)
+    monkeypatch.setattr(ensembles, "_draw_entries", failing)
     seen = 0
     with pytest.raises(ParameterError) as raised:
-        for _ in entry_stream(EnsembleSpec("gue"), 6, 640, RngHandle(2, 0), [0], [1]):
-            seen += 1
+        for block in entry_stream(EnsembleSpec("gue"), 6, 640, RngHandle(2, 0), [0], [1]):
+            seen += len(block)
     assert raised.value is error
-    # every sample before the failing one came through, and no later draw was made
-    assert seen == 69
+    # every block before the failing sample's came through, and no later draw was made
+    assert seen == 69 // ENTRY_BLOCK * ENTRY_BLOCK
     assert len(calls) == 70
 
 
@@ -384,10 +421,10 @@ def test_entry_stream_broadcasts_like_fancy_indexing():
     # the broadcast index pairs cover every entry, so the matrix is sample's
     spec = EnsembleSpec("wigner", entry_dist="uniform")
     rows, cols = np.arange(5)[:, None], np.array([4, 0, 2, 1, 3])
-    (got,) = entry_stream(spec, 5, 1, RngHandle(4, 0), rows, cols)
+    (block,) = entry_stream(spec, 5, 1, RngHandle(4, 0), rows, cols)
     (want,) = sample_stream(spec, 5, 1, RngHandle(4, 0))
-    assert got.shape == (5, 5)
-    assert got.tobytes() == want.data[rows, cols].tobytes()
+    assert block.shape == (1, 5, 5)
+    assert block[0].tobytes() == want.data[rows, cols].tobytes()
 
 
 @pytest.mark.parametrize("n", [0, -2, MAX_MATRIX_SIZE + 1])

@@ -5,11 +5,12 @@ import pytest
 
 from rmtlab import cumulant_scan
 from rmtlab.cumulant_scan import estimate_entry_cumulant, scan_graph, subset_keys
-from rmtlab.ensembles import EnsembleSpec, entry_stream
+from rmtlab.ensembles import ENTRY_BLOCK, EnsembleSpec, entry_stream
 from rmtlab.graphs import BoundVerdict, CapacityError, CumulantGraph
 from rmtlab.linalg import RngHandle
 from rmtlab.partitions import MAX_CUMULANT_ENTRIES, cumulants_from_moments
-from test_ensembles import restricted_reference
+from test_ensembles import (ENTRY_WISE_SPECS, QUARTIC_SPEC, in_blocks, restricted_reference,
+                            samples_of)
 
 TWO_TWO_CYCLES = CumulantGraph(4, ((0, 1), (1, 0), (2, 3), (3, 2)))
 TWO_CYCLE = CumulantGraph(2, ((0, 1), (1, 0)))
@@ -71,7 +72,7 @@ def delete_one_reference(spec, graph, n, samples, rng):
     targets = np.array([t for _, t in graph.edges])[:, None] + offsets
     keys = set(subset_keys(graph.edges).values())
     per_sample = {key: [] for key in keys}
-    for values in entry_stream(spec, n, samples, rng, sources, targets):
+    for values in samples_of(entry_stream(spec, n, samples, rng, sources, targets)):
         entry = {edge: values[k] for k, edge in enumerate(graph.edges)}
         for key in keys:
             prod = np.ones(len(offsets), dtype=complex)
@@ -113,7 +114,8 @@ def test_jackknife_matches_delete_one_loop(spec):
     ids=lambda spec: spec.kind)
 def test_estimate_equals_reading_the_restricted_draw_reference(spec, graph, monkeypatch):
     est = estimate_entry_cumulant(spec, graph, 13, 40, RngHandle(9, 2))
-    monkeypatch.setattr(cumulant_scan, "entry_stream", restricted_reference)
+    monkeypatch.setattr(cumulant_scan, "entry_stream",
+                        lambda *args: in_blocks(restricted_reference(*args)))
     want = estimate_entry_cumulant(spec, graph, 13, 40, RngHandle(9, 2))
     assert est.estimate == want.estimate
     assert est.stderr == want.stderr
@@ -139,3 +141,53 @@ def test_one_division_gives_the_bits_of_per_sample_means(columns):
             divided[:, s] = prod.sum(axis=1)
         divided /= columns
         assert divided.tobytes() == means.tobytes()
+
+
+def per_sample_reference(spec, graph, n, samples, rng):
+    """The estimator's arithmetic run one sample at a time: the subset
+    products of each sample's [edges, tuples] entries, padded with ones to
+    e factors and multiplied left to right, then summed over the tuples."""
+    e, v = graph.num_edges, graph.num_vertices
+    tuples = n // v
+    subset_of = {key: subset for subset, key in subset_keys(graph.edges).items()}
+    row_of = {key: r for r, key in enumerate(subset_of)}
+    factors = np.array([subset + (e,) * (e - len(subset)) for subset in subset_of.values()])
+    offsets = np.arange(tuples) * v
+    sources = np.array([s for s, _ in graph.edges])[:, None] + offsets
+    targets = np.array([t for _, t in graph.edges])[:, None] + offsets
+    entries = np.ones((e + 1, tuples), dtype=complex)
+    per_sample = np.empty((len(row_of), samples), dtype=complex)
+    for s_idx, values in enumerate(samples_of(entry_stream(spec, n, samples, rng, sources,
+                                                           targets))):
+        entries[:e] = values
+        gathered = entries[factors]
+        prod = gathered[:, 0]
+        for j in range(1, e):
+            prod = prod * gathered[:, j]
+        per_sample[:, s_idx] = prod.sum(axis=1)
+    per_sample /= tuples
+    sums = per_sample.sum(axis=1)
+    leave_one_out = (sums[:, None] - per_sample) / (samples - 1)
+
+    def row(block):
+        return row_of[tuple(sorted(block))]
+
+    full = cumulants_from_moments(lambda block: sums[row(block)] / samples, graph.edges)
+    jack = cumulants_from_moments(lambda block: leave_one_out[row(block)], graph.edges).real
+    stderr = math.sqrt((samples - 1) / samples * np.sum((jack - jack.mean()) ** 2))
+    return float(full.real), stderr
+
+
+@pytest.mark.parametrize("samples", [3, ENTRY_BLOCK - 1, ENTRY_BLOCK, ENTRY_BLOCK + 1,
+                                     2 * ENTRY_BLOCK + 1])
+@pytest.mark.parametrize("spec", [*ENTRY_WISE_SPECS.values(), QUARTIC_SPEC],
+                         ids=[*ENTRY_WISE_SPECS, "quartic"])
+@pytest.mark.parametrize("graph", [TWO_TWO_CYCLES,
+                                   CumulantGraph.from_text("v=3;e=0->1,1->2,2->0,0->0")],
+                         ids=["two_two_cycles", "triangle_and_loop"])
+def test_block_arithmetic_equals_the_per_sample_reference(graph, spec, samples):
+    # a sample count of 1 is refused before any draw (test_estimator_guards),
+    # so 3, the fewest the jackknife takes, stands in for it
+    est = estimate_entry_cumulant(spec, graph, 19, samples, RngHandle(10, 4))
+    assert (est.estimate, est.stderr) == per_sample_reference(spec, graph, 19, samples,
+                                                              RngHandle(10, 4))
