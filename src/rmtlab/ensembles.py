@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -216,7 +216,7 @@ def _entry_dist(spec: EnsembleSpec) -> str:
     return "gaussian" if spec.kind == "gue" else spec.entry_dist
 
 
-def _draw_triangle(spec: EnsembleSpec, n: int, handles: Iterable[RngHandle], count: int,
+def _draw_triangle(spec: EnsembleSpec, n: int, rng: RngHandle, count: int,
                    pairs: int, diagonal: int) -> tuple[np.ndarray, np.ndarray | None]:
     """The scaled draws of ``pairs`` off-diagonal and ``diagonal`` diagonal
     entries of ``count`` samples, one row per sample, each row an x | y |
@@ -224,21 +224,28 @@ def _draw_triangle(spec: EnsembleSpec, n: int, handles: Iterable[RngHandle], cou
     then the diagonal; and the samples' factors, None for the
     independent-entry kinds.
 
-    Sample k draws from the k-th of ``handles``, which must yield ``count``
-    of them: the factor of a common-factor kind, then all 2 pairs + diagonal
-    entries in one draw call (consecutive calls would draw the same bits).
-    Only then, once for the block, is each row scaled and then multiplied by
-    its factor, elementwise, so every row holds the bits of a draw scaled on
-    its own.  A whole matrix is the n(n - 1)/2 pairs of the strict upper
-    triangle, in ``np.triu_indices(n, k=1)`` order, and the n diagonal
-    entries."""
+    The samples are drawn from ``rng`` one after another, and the handle is
+    advanced past them.  The independent-entry kinds draw all ``count``
+    rows in one call; a common-factor kind draws each sample's factor and
+    then its row, two calls per sample, so that a sample's draws never
+    depend on ``count``.  Philox read in sequence gives the same values
+    however the draws are split into calls, so a block of ``count`` rows
+    holds the bits of ``count`` blocks of one.  Each row is then scaled and
+    multiplied by its factor, elementwise, so every row holds the bits of
+    a draw scaled on its own.  A whole matrix is the n(n - 1)/2 pairs of
+    the strict upper triangle, in ``np.triu_indices(n, k=1)`` order, and
+    the n diagonal entries."""
     dist = _entry_dist(spec)
-    draws = np.empty((count, 2 * pairs + diagonal))
-    factors = None if spec.kind not in FACTOR_KINDS else np.empty(count)
-    for k, rng in zip(range(count), handles):
-        if factors is not None:
+    size = 2 * pairs + diagonal
+    draws = np.empty((count, size))
+    if spec.kind in FACTOR_KINDS:
+        factors = np.empty(count)
+        for k in range(count):
             factors[k] = _draw_factor(spec, n, rng)
-        _draw_entries(rng, dist, 2 * pairs + diagonal, out=draws[k])
+            _draw_entries(rng, dist, size, out=draws[k])
+    else:
+        factors = None
+        _draw_entries(rng, dist, count * size, out=draws.reshape(-1))
     draws[:, :2 * pairs] *= spec.sigma / math.sqrt(2.0)
     draws[:, 2 * pairs:] *= math.sqrt(spec.diag_variance)
     if factors is not None:
@@ -263,12 +270,13 @@ def _check_matrix_size(n: int):
 
 
 def sample(spec: EnsembleSpec, n: int, rng: RngHandle) -> HermitianMatrix:
-    """One matrix from the ensemble; pure in (spec, n, rng)."""
+    """One matrix from the ensemble, drawn from ``rng`` at its position,
+    which it advances; pure in (spec, n) and that position."""
     _check_matrix_size(n)
     if spec.kind == "quartic_invariant":
         return next(sample_stream(spec, n, 1, rng))
     m = n * (n - 1) // 2
-    (draws,), factors = _draw_triangle(spec, n, (rng,), 1, m, n)
+    (draws,), factors = _draw_triangle(spec, n, rng, 1, m, n)
     meta = {"kind": spec.kind}
     if factors is not None:
         meta["factor"] = float(factors[0])
@@ -276,7 +284,10 @@ def sample(spec: EnsembleSpec, n: int, rng: RngHandle) -> HermitianMatrix:
 
 
 def sample_stream(spec: EnsembleSpec, n: int, count: int, rng: RngHandle) -> Iterator[HermitianMatrix]:
-    """``count`` samples; the quartic chain is shared across retained samples."""
+    """``count`` samples, drawn from ``rng`` one after another, which
+    advances it: the entry-wise kinds are ``count`` calls of ``sample`` on
+    ``rng``, so a stream of fewer samples is a prefix of a longer one.  The
+    quartic chain is shared across retained samples."""
     if spec.kind == "quartic_invariant":
         chain = QuarticChain(spec, n, rng)
         chain.run_sweeps(spec.metropolis.burn_in, adapt=True)
@@ -284,12 +295,14 @@ def sample_stream(spec: EnsembleSpec, n: int, count: int, rng: RngHandle) -> Ite
             chain.run_sweeps(spec.metropolis.steps, adapt=False)
             yield chain.matrix()
         return
-    for sub in rng.rekeyed_substreams(range(count)):
-        yield sample(spec, n, sub)
+    for _ in range(count):
+        yield sample(spec, n, rng)
 
 
-# Samples per entry_stream block.  Each sample still takes its own handle
-# and draw call; the scaling, gather and assembly run once per block.  16 is
+# Samples per entry_stream block.  An independent-entry kind draws a block in
+# one call, a common-factor kind in two calls per sample, and the scaling,
+# gather and assembly run once per block.  The bytes do not depend on it:
+# the handle's Philox stream is read in sequence however it is split.  16 is
 # the smallest block at which the cumulant scan's time levels off, and it
 # holds the estimator's [subsets, block, tuples] products at well under 1 MiB
 # (BENCH_scan_blocks.json).
@@ -305,20 +318,21 @@ def entry_stream(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
     at ``rows, cols`` (integers in [0, n), broadcast together to ``shape``),
     as ``sample_stream`` would give them.
 
+    The samples are drawn from ``rng`` one after another, as
+    ``sample_stream`` draws them, and the handle is advanced past them.
     The entry-wise kinds draw only the entries read, with no N x N
-    assembly.  Sample s takes substream s, as ``sample_stream`` does, draws
-    the factor of a common-factor kind and then ``_draw_triangle``'s row
-    over the distinct upper-triangle positions read (in
-    ``np.triu_indices(n, k=1)`` order) and the distinct diagonal indices
-    read (ascending): ``sample``'s buffer restricted to what is read.
-    ``x + iy`` goes above the diagonal, its conjugate below, and the real
-    diagonal draw on it.  A read of every entry is therefore
+    assembly.  Sample s draws the factor of a common-factor kind and then
+    ``_draw_triangle``'s row over the distinct upper-triangle positions
+    read (in ``np.triu_indices(n, k=1)`` order) and the distinct diagonal
+    indices read (ascending): ``sample``'s buffer restricted to what is
+    read.  ``x + iy`` goes above the diagonal, its conjugate below, and the
+    real diagonal draw on it.  A read of every entry is therefore
     ``sample_stream`` bit for bit; a read of fewer has the same joint law
-    but other bytes.  The draws are made per sample; the scaling and the
-    assembly run once per block, elementwise, so the blocking changes no
-    bit.  The unitarily invariant quartic kind has no entry-wise law and
-    stacks the entries of its assembled matrices.  The size and the indices
-    are checked when the stream is made."""
+    but other bytes.  The draws, the scaling and the assembly run once per
+    block, in sequence and elementwise, so the blocking changes no bit.
+    The unitarily invariant quartic kind has no entry-wise law and stacks
+    the entries of its assembled matrices.  The size and the indices are
+    checked when the stream is made."""
     _check_matrix_size(n)
     rows, cols = np.broadcast_arrays(np.asarray(rows), np.asarray(cols))
     if not (np.issubdtype(rows.dtype, np.integer) and np.issubdtype(cols.dtype, np.integer)):
@@ -359,10 +373,9 @@ def _triangle_entries(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
     gather[on] = 2 * p + diagonal_of
     gather[size:] = p + pair_of
     conjugated = size + above.size
-    handles = rng.rekeyed_substreams(range(count))
     for start in range(0, count, ENTRY_BLOCK):
         b = min(ENTRY_BLOCK, count - start)
-        draws, _ = _draw_triangle(spec, n, handles, b, p, diagonal.size)
+        draws, _ = _draw_triangle(spec, n, rng, b, p, diagonal.size)
         values = draws[:, gather]
         np.negative(values[:, conjugated:], out=values[:, conjugated:])
         out = np.zeros((b, size), dtype=complex)

@@ -5,15 +5,15 @@ Randomness comes from numpy's Philox counter-based generator keyed by a
 platform.  Sub-streams are derived with a splitmix64 finalizer (constants
 0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9, 0x94d049bb133111eb), which keeps
 independently derived streams decorrelated.  Philox is counter-based
-(Salmon et al., SC 2011), so a generator re-keyed with its counter at zero
-draws exactly what a fresh one with that key draws.
+(Salmon et al., SC 2011) and is read in sequence: a handle's draws are the
+same values however they are split into calls.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,8 +42,9 @@ def _philox_key(seed: int, stream: int) -> np.ndarray:
 class RngHandle:
     """Deterministic random stream identified by (seed, stream).
 
-    The handle owns its draw position; derive a fresh handle per concurrent
-    task with :meth:`substream` or :meth:`rekeyed_substreams` instead of sharing one.
+    The handle owns its draw position, and every draw advances it; derive a
+    fresh handle per concurrent task with :meth:`substream` instead of
+    sharing one.
     """
 
     __slots__ = ("seed", "stream", "_gen")
@@ -53,46 +54,12 @@ class RngHandle:
         self.stream = stream & _MASK64
         self._gen = np.random.Generator(np.random.Philox(key=_philox_key(self.seed, self.stream)))
 
-    def _child_stream(self, ids: Iterable[int]) -> int:
+    def substream(self, *ids: int) -> "RngHandle":
+        """Child handle with a stream id mixed from this stream and ``ids``."""
         s = self.stream
         for i in ids:
             s = _splitmix64(s ^ ((i + 1) & _MASK64))
-        return s
-
-    def substream(self, *ids: int) -> "RngHandle":
-        """Child handle with a stream id mixed from this stream and ``ids``."""
-        return RngHandle(self.seed, self._child_stream(ids))
-
-    def rekeyed_substreams(self, ids: Iterable[int]) -> Iterator["RngHandle"]:
-        """For each of ``ids``, a handle that draws what ``self.substream(id)``
-        draws.
-
-        The handles share one Philox generator, re-keyed for each id through
-        its ``state`` setter with a zero counter and an empty buffer, which
-        is what a fresh generator holds.  So a handle is valid only until the
-        next one is yielded, and only on the thread that iterates; a task on
-        another thread takes its own ``rekeyed_substreams``.  Each handle is
-        detached when the next is keyed, and the last when ``ids`` run out,
-        so a draw from a stale handle raises instead of drawing another
-        stream."""
-        gen = np.random.Generator(np.random.Philox(0))
-        # the setter reads the state word by word: plain ints cost less than
-        # numpy scalars
-        state = {"bit_generator": "Philox",
-                 "state": {"counter": [0, 0, 0, 0], "key": None},
-                 "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-                 "has_uint32": 0, "uinteger": 0}
-        child = None
-        for i in ids:
-            if child is not None:
-                child._gen = None
-            child = RngHandle.__new__(RngHandle)
-            child.seed, child.stream, child._gen = self.seed, self._child_stream((i,)), gen
-            state["state"]["key"] = _philox_key(child.seed, child.stream)
-            gen.bit_generator.state = state
-            yield child
-        if child is not None:
-            child._gen = None
+        return RngHandle(self.seed, s)
 
     def normals(self, size=None, out: np.ndarray | None = None) -> np.ndarray:
         """Standard normals; written into ``out`` when it is given."""

@@ -119,7 +119,7 @@ def _solve(matrix) -> tuple[list[str] | None, np.ndarray]:
 def spectra(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
             warnings: dict[str, list[str]] | None = None) -> np.ndarray:
     """Row s: ascending eigenvalues of M_s / sqrt(n), for the s-th matrix of
-    ``sample_stream(spec, n, count, rng)``.
+    ``sample_stream(spec, n, count, rng)``, which advances ``rng``.
 
     Matrices are sampled in order on the calling thread, and their
     eigensolves go through ``pool.ordered_map`` on ``_eigensolve_workers``

@@ -151,7 +151,7 @@ def test_common_factor_scales_whole_matrix():
     # law without a factor
     rng = RngHandle(77, 0)
     rng.choice_index([float(w) for w in spec.factor_dist.weights])
-    (draws,), factors = _draw_triangle(EnsembleSpec("wigner"), 6, (rng,), 1, 15, 6)
+    (draws,), factors = _draw_triangle(EnsembleSpec("wigner"), 6, rng, 1, 15, 6)
     assert factors is None
     draws = draws * g  # x | y | diag, 15 + 15 + 6
     w = HermitianMatrix.from_triangle(draws[:15], draws[15:30], draws[30:])
@@ -233,17 +233,20 @@ def test_sample_bytes_match_parent_assembly(spec, n):
 
 @pytest.mark.parametrize("spec", SAMPLE_SPECS.values(), ids=SAMPLE_SPECS)
 def test_streams_above_2_pow_63_match_a_fresh_handle_reference(spec):
-    # sample_stream and entry_stream key their handles through the rule they
-    # share; only a fresh handle, drawn the earlier way, can catch a wrong key
-    n, rng = 7, RngHandle(53, 9)
-    s = next(s for s in itertools.count() if rng.substream(s).stream >= 2 ** 63)
-    assert rng.substream(s).stream % 2 ** 11  # its key is rounded through float64
-    want = parent_sample(spec, n, rng.substream(s)).tobytes()
-    *_, matrix = sample_stream(spec, n, s + 1, rng)
-    assert matrix.data.tobytes() == want
+    # a per-N handle keys its Philox through the one key rule; only a
+    # generator keyed by numpy itself, drawn the earlier way, can catch a
+    # wrong key
+    n, count, base = 7, 3, RngHandle(53, 9)
+    s = next(s for s in itertools.count() if base.substream(s).stream >= 2 ** 63)
+    stream = base.substream(s).stream
+    assert stream % 2 ** 11  # its key is rounded through float64
+    reference = RngHandle(0)
+    reference._gen = np.random.Generator(np.random.Philox(key=[base.seed, stream]))
+    want = [parent_sample(spec, n, reference).tobytes() for _ in range(count)]
+    assert [m.data.tobytes() for m in sample_stream(spec, n, count, base.substream(s))] == want
     rows, cols = np.indices((n, n))
-    *_, block = entry_stream(spec, n, s + 1, rng, rows, cols)
-    assert block[-1].tobytes() == want
+    blocks = entry_stream(spec, n, count, base.substream(s), rows, cols)
+    assert [a.tobytes() for a in samples_of(blocks)] == want
 
 
 # above, on and below the diagonal, with repeats
@@ -268,11 +271,11 @@ QUARTIC_SPEC = EnsembleSpec("quartic_invariant", quartic_g=0.1, sigma=1.2,
 
 def restricted_reference(spec: EnsembleSpec, n: int, count: int, rng: RngHandle, rows, cols):
     """``entry_stream``'s samples written as a plain loop, one array per
-    sample.  Sample s: substream s, the factor, then one draw of x | y |
-    diag over the distinct upper-triangle pairs read, in ``np.triu_indices``
-    order, and the distinct diagonal indices read, ascending; each entry is
-    then scaled on its own and looked up by position.  The quartic kind
-    reads its assembled matrices."""
+    sample, all drawn from ``rng`` in turn.  Sample s: the factor, then one
+    draw of x | y | diag over the distinct upper-triangle pairs read, in
+    ``np.triu_indices`` order, and the distinct diagonal indices read,
+    ascending; each entry is then scaled on its own and looked up by
+    position.  The quartic kind reads its assembled matrices."""
     from rmtlab.ensembles import _draw_entries
     rows, cols = np.broadcast_arrays(np.asarray(rows), np.asarray(cols))
     if spec.kind == "quartic_invariant":
@@ -284,10 +287,9 @@ def restricted_reference(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
     diagonal = sorted({i for i, j in read if i == j})
     dist = "gaussian" if spec.kind == "gue" else spec.entry_dist
     p = len(pairs)
-    for s in range(count):
-        sub = rng.substream(s)
-        g = reference_factor(spec, n, sub)
-        draws = _draw_entries(sub, dist, 2 * p + len(diagonal))
+    for _ in range(count):
+        g = reference_factor(spec, n, rng)
+        draws = _draw_entries(rng, dist, 2 * p + len(diagonal))
         value = {}
         for k, (i, j) in enumerate(pairs):
             x = draws[k] * (spec.sigma / math.sqrt(2.0))
@@ -365,6 +367,33 @@ def test_entry_stream_of_fewer_samples_is_a_prefix(spec):
     assert len(long) == 11 and long[:4] == short
 
 
+@pytest.mark.parametrize("count", [1, 15, 33])
+@pytest.mark.parametrize("spec", ENTRY_WISE_SPECS.values(), ids=ENTRY_WISE_SPECS)
+def test_entry_stream_bytes_do_not_depend_on_the_block_size(spec, count, monkeypatch):
+    # the handle's Philox stream is read in sequence however a block splits it,
+    # and centered_exponential's log1p runs over a whole block
+    n = 9
+    reads = [(ENTRY_ROWS, ENTRY_COLS), np.indices((n, n))]
+    got = {}
+    for block in (1, 7, 16, 64):
+        monkeypatch.setattr(ensembles, "ENTRY_BLOCK", block)
+        for r, (rows, cols) in enumerate(reads):
+            blocks = list(entry_stream(spec, n, count, RngHandle(73, 5), rows, cols))
+            assert [len(b) for b in blocks] == [min(block, count - start)
+                                                for start in range(0, count, block)]
+            got.setdefault(r, set()).add(np.concatenate(blocks).tobytes())
+    assert all(len(bytes_of_read) == 1 for bytes_of_read in got.values())
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("spec", SAMPLE_SPECS.values(), ids=SAMPLE_SPECS)
+def test_sample_stream_is_sample_called_on_one_handle(spec, n, count):
+    rng = RngHandle(74, 2)
+    want = [sample(spec, n, rng).data.tobytes() for _ in range(count)]
+    assert [m.data.tobytes() for m in sample_stream(spec, n, count, RngHandle(74, 2))] == want
+
+
 def test_entry_stream_starts_no_thread(monkeypatch):
     def no_thread(self):
         raise AssertionError(f"thread {self.name} started")
@@ -393,7 +422,7 @@ def test_entry_stream_draw_error_reaches_the_caller_unchanged(monkeypatch):
 
     def failing(*args, **kwargs):
         calls.append(None)
-        if len(calls) == 70:
+        if len(calls) == 5:
             raise error
         return draw(*args, **kwargs)
 
@@ -403,9 +432,10 @@ def test_entry_stream_draw_error_reaches_the_caller_unchanged(monkeypatch):
         for block in entry_stream(EnsembleSpec("gue"), 6, 640, RngHandle(2, 0), [0], [1]):
             seen += len(block)
     assert raised.value is error
-    # every block before the failing sample's came through, and no later draw was made
-    assert seen == 69 // ENTRY_BLOCK * ENTRY_BLOCK
-    assert len(calls) == 70
+    # gue draws a block in one call: the four blocks before the failing one
+    # came through, and no later draw was made
+    assert seen == 4 * ENTRY_BLOCK
+    assert len(calls) == 5
 
 
 def test_entry_stream_takes_narrow_integer_indices():

@@ -104,10 +104,12 @@ def test_tracer_sees_the_scan_make_the_sampler_draws_without_assembly(kind):
     summary = tracer.summary()
     assert "linalg.HermitianMatrix.from_upper" not in summary["counts"]
     assert "ensembles.sample" not in summary["spans"]
-    # per matrix: one factor draw for the factor kinds, then one draw of x | y | diag;
-    # one substream per N, whose matrices come from a re-keyed generator
+    # gue draws each block of x | y | diag rows in one call, the factor kinds a
+    # factor and then a row per matrix; each N has one substream, read in turn
     matrices = len(n_grid) * samples
-    assert summary["counts"]["linalg.RngHandle.draws"] == (1 if kind == "gue" else 2) * matrices
+    blocks = len(n_grid) * -(-samples // ensembles.ENTRY_BLOCK)
+    assert summary["counts"]["linalg.RngHandle.draws"] == (blocks if kind == "gue"
+                                                           else 2 * matrices)
     assert summary["counts"]["linalg.RngHandle.substreams"] == len(n_grid)
 
 
