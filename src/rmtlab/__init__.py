@@ -4,7 +4,7 @@ replica renormalisation-group flow for the semicircle resolvent."""
 from .graphs import (BoundVerdict, CumulantGraph, aut_order, canonical_form,
                      classify_bound, enumerate_graphs, graph_from_monomial,
                      is_eulerian, scaling_exponent)
-from .linalg import HermitianMatrix, RngHandle, eigenvalues_hermitian, gaussian_complex
+from .linalg import HermitianMatrix, RngHandle, eigenvalues_hermitian
 from .ensembles import EnsembleSpec, FactorDistribution, MetropolisParams, entry_cumulant_oracle, sample
 from .partitions import (CumulantFunction, SetPartition, catalan, cumulants_from_moments,
                          extrapolate_limit, gaussian_cumulant_function,

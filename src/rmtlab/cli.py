@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig
-from .cumulant_scan import scan_graph
+from .cumulant_scan import MIN_JACKKNIFE_SAMPLES, scan_graph
 from .ensembles import ParameterError
 from .graphs import (MIN_TREND_SIZES, CapacityError, CumulantGraph, GraphParseError,
                      scaling_exponent)
@@ -192,8 +192,9 @@ def cmd_cumulant_scan(config: ExperimentConfig, out_dir: Path) -> int:
         if config.n_grid[0] < g.num_vertices:
             raise ConfigError(f"n_grid: size {config.n_grid[0]} is too small for the "
                               f"{g.num_vertices}-vertex graph {g.to_text()}")
-    if config.samples_per_n < 3:
-        raise ConfigError("samples_per_n: cumulant-scan needs at least 3 for a jackknife error")
+    if config.samples_per_n < MIN_JACKKNIFE_SAMPLES:
+        raise ConfigError(f"samples_per_n: cumulant-scan needs at least {MIN_JACKKNIFE_SAMPLES} "
+                          "for a jackknife error")
     if len(config.n_grid) < MIN_TREND_SIZES:
         raise ConfigError(f"n_grid: cumulant-scan needs at least {MIN_TREND_SIZES} sizes to "
                           "classify a trend")

@@ -19,14 +19,14 @@ from .spectral import MAX_MOMENT_ORDER
 
 SCHEMA_VERSION = 1
 
-# Seeds must lie below 2**53: a Philox key goes through float64 for half of
-# all substreams (linalg._philox_key), so two larger seeds could draw the
-# same matrices.
+# Seeds must lie below 2**53: numpy's Philox(key=[seed, stream]) passes the
+# pair through float64 when either value is at least 2**63, as it is for half
+# of all substreams, so two larger seeds could draw the same matrices.
 MAX_SEED = 2 ** 53
 
 _KNOWN_FIELDS = {
     "schema_version", "ensemble", "n_grid", "samples_per_n", "seed",
-    "moment_orders", "graphs_to_scan", "histogram_bins", "histogram_range",
+    "moment_orders", "graphs_to_scan",
 }
 
 
@@ -42,8 +42,6 @@ class ExperimentConfig:
     seed: int
     moment_orders: tuple[int, ...] = (2, 4)
     graphs_to_scan: tuple[str, ...] = ()
-    histogram_bins: int = 50
-    histogram_range: tuple[float, float] = (-3.0, 3.0)
 
     def __post_init__(self):
         if not self.n_grid:
@@ -60,11 +58,6 @@ class ExperimentConfig:
             raise ConfigError("seed: must be below 2**53")
         if not all(0 <= k <= MAX_MOMENT_ORDER for k in self.moment_orders):
             raise ConfigError(f"moment_orders: each order must lie in 0..{MAX_MOMENT_ORDER}")
-        if self.histogram_bins < 1:
-            raise ConfigError("histogram_bins: must be at least 1")
-        a, b = self.histogram_range
-        if not a < b:
-            raise ConfigError("histogram_range: lower bound must be below upper")
         for text in self.graphs_to_scan:
             try:
                 CumulantGraph.from_text(text)
@@ -83,8 +76,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "moment_orders": list(self.moment_orders),
             "graphs_to_scan": list(self.graphs_to_scan),
-            "histogram_bins": self.histogram_bins,
-            "histogram_range": list(self.histogram_range),
         }
 
     def canonical_dump(self) -> str:
@@ -114,8 +105,6 @@ class ExperimentConfig:
             seed=int(doc.get("seed", 0)),
             moment_orders=tuple(int(k) for k in doc.get("moment_orders", (2, 4))),
             graphs_to_scan=tuple(doc.get("graphs_to_scan", ())),
-            histogram_bins=int(doc.get("histogram_bins", 50)),
-            histogram_range=tuple(doc.get("histogram_range", (-3.0, 3.0))),
         )
 
     @classmethod

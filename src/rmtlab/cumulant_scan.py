@@ -22,6 +22,9 @@ from .graphs import BoundVerdict, CapacityError, CumulantGraph, classify_bound
 from .linalg import RngHandle
 from .partitions import MAX_CUMULANT_ENTRIES, cumulants_from_moments
 
+# the fewest samples a delete-one jackknife error takes
+MIN_JACKKNIFE_SAMPLES = 3
+
 
 def subset_keys(edges) -> dict[tuple[int, ...], tuple]:
     """Non-empty subsets of edge positions, keyed by their pair multiset."""
@@ -57,7 +60,7 @@ def estimate_entry_cumulant(spec: EnsembleSpec, graph: CumulantGraph, n: int,
     tuples = n // v
     if tuples < 1:
         raise ValueError(f"matrix size {n} too small for a {v}-vertex graph")
-    if samples < 3:
+    if samples < MIN_JACKKNIFE_SAMPLES:
         raise ValueError("need at least three samples for a jackknife error")
     # one row per pair multiset: with parallel edges several subsets share one
     subset_of = {key: subset for subset, key in subset_keys(graph.edges).items()}

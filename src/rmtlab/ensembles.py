@@ -22,7 +22,7 @@ from . import exactvalues as ev
 from .exactvalues import ENTRY_DISTS, InexactValue
 from .graphs import CumulantGraph
 from .linalg import MAX_MATRIX_SIZE, HermitianMatrix, RngHandle, standard_complex_normals
-from .partitions import cumulants_from_moments, moments_from_cumulants
+from .partitions import MAX_CUMULANT_ENTRIES, cumulants_from_moments, moments_from_cumulants
 
 KINDS = ("gue", "wigner", "common_factor", "damped_common_factor", "quartic_invariant")
 FACTOR_KINDS = ("common_factor", "damped_common_factor")
@@ -102,6 +102,10 @@ class MetropolisParams:
                    int(doc.get("burn_in", 150)))
 
 
+_ENSEMBLE_FIELDS = {"kind", "sigma", "entry_dist", "factor_dist", "damping_alpha",
+                    "quartic_g", "metropolis", "diagonal_variance"}
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     kind: str
@@ -120,6 +124,9 @@ class EnsembleSpec:
             raise ParameterError("sigma must be positive and finite")
         if self.entry_dist not in ENTRY_DISTS:
             raise ParameterError(f"unknown entry_dist {self.entry_dist!r}")
+        if self.kind == "gue" and self.entry_dist != "gaussian":
+            raise ParameterError(f"gue entries are gaussian, not {self.entry_dist!r}; "
+                                 'use kind "wigner" for another entry_dist')
         if not 0 <= self.damping_alpha < math.inf:
             raise ParameterError("damping_alpha must be non-negative and finite")
         if not 0 <= self.quartic_g < math.inf:
@@ -143,9 +150,7 @@ class EnsembleSpec:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "EnsembleSpec":
-        known = {"kind", "sigma", "entry_dist", "factor_dist", "damping_alpha",
-                 "quartic_g", "metropolis", "diagonal_variance"}
-        _reject_unknown(doc, known, "ensemble")
+        _reject_unknown(doc, _ENSEMBLE_FIELDS, "ensemble")
         if "kind" not in doc:
             raise ParameterError("ensemble.kind is required")
         kwargs = {"kind": doc["kind"]}
@@ -210,12 +215,6 @@ def _draw_entries(rng: RngHandle, dist: str, size: int,
     raise ParameterError(f"unknown entry_dist {dist!r}")
 
 
-def _entry_dist(spec: EnsembleSpec) -> str:
-    """The law of the entry draws: GUE draws are Gaussian whatever
-    ``spec.entry_dist`` says."""
-    return "gaussian" if spec.kind == "gue" else spec.entry_dist
-
-
 def _draw_triangle(spec: EnsembleSpec, n: int, rng: RngHandle, count: int,
                    pairs: int, diagonal: int) -> tuple[np.ndarray, np.ndarray | None]:
     """The scaled draws of ``pairs`` off-diagonal and ``diagonal`` diagonal
@@ -235,17 +234,16 @@ def _draw_triangle(spec: EnsembleSpec, n: int, rng: RngHandle, count: int,
     a draw scaled on its own.  A whole matrix is the n(n - 1)/2 pairs of
     the strict upper triangle, in ``np.triu_indices(n, k=1)`` order, and
     the n diagonal entries."""
-    dist = _entry_dist(spec)
     size = 2 * pairs + diagonal
     draws = np.empty((count, size))
     if spec.kind in FACTOR_KINDS:
         factors = np.empty(count)
         for k in range(count):
             factors[k] = _draw_factor(spec, n, rng)
-            _draw_entries(rng, dist, size, out=draws[k])
+            _draw_entries(rng, spec.entry_dist, size, out=draws[k])
     else:
         factors = None
-        _draw_entries(rng, dist, count * size, out=draws.reshape(-1))
+        _draw_entries(rng, spec.entry_dist, count * size, out=draws.reshape(-1))
     draws[:, :2 * pairs] *= spec.sigma / math.sqrt(2.0)
     draws[:, 2 * pairs:] *= math.sqrt(spec.diag_variance)
     if factors is not None:
@@ -492,7 +490,6 @@ def _haar_unitary(rng: RngHandle, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 ORACLE_KINDS = ("gue", "wigner", "common_factor", "damped_common_factor")
-ORACLE_MAX_EDGES = 4
 
 
 def entry_cumulant_oracle(spec: EnsembleSpec, graph: CumulantGraph,
@@ -500,12 +497,13 @@ def entry_cumulant_oracle(spec: EnsembleSpec, graph: CumulantGraph,
     """Exact joint cumulant of the entry monomial encoded by (graph, indices).
 
     Computed analytically from the ensemble construction; returns None when
-    the kind or order is unsupported.  Damped ensembles depend on the matrix
-    size, so ``n`` is required for them.  The value is computed once in
+    the kind is unsupported or the graph has more edges than the cumulant
+    inversion takes (``MAX_CUMULANT_ENTRIES``).  Damped ensembles depend on
+    the matrix size, so ``n`` is required for them.  The value is computed once in
     exact Q[i, sqrt2] arithmetic and, only if that raises InexactValue,
     again in floats; so it is the rounded exact value wherever that exists.
     """
-    if spec.kind not in ORACLE_KINDS or graph.num_edges > ORACLE_MAX_EDGES:
+    if spec.kind not in ORACLE_KINDS or graph.num_edges > MAX_CUMULANT_ENTRIES:
         return None
     assignment = [indices[v] for v in range(graph.num_vertices)]
     if len(set(assignment)) != graph.num_vertices:
@@ -559,8 +557,6 @@ _FLOAT = _Scalars(math.sqrt, lambda n, alpha: float(n) ** -alpha, lambda k: 1j *
 
 def _entry_cumulant(spec: EnsembleSpec, edges: list, n: int | None, scalars: _Scalars):
     """Joint cumulant of the entries at ``edges``, in ``scalars``."""
-    dist = _entry_dist(spec)
-
     def w_cumulant(block) -> object:
         """Joint cumulant of entries of the independent-entry draw W."""
         orbits = {_orbit(e) for e in block}
@@ -568,7 +564,7 @@ def _entry_cumulant(spec: EnsembleSpec, edges: list, n: int | None, scalars: _Sc
             return 0
         orbit = orbits.pop()
         k = len(block)
-        kappa = ev.entry_cumulant(dist, k)
+        kappa = ev.entry_cumulant(spec.entry_dist, k)
         if not kappa:
             return 0
         if len(orbit) == 1:

@@ -29,16 +29,6 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _philox_key(seed: int, stream: int) -> np.ndarray:
-    """The Philox key of the stream (seed, stream): what numpy derives from
-    ``Philox(key=[seed, stream])``.
-
-    The list goes through ``np.asarray``, which makes it float64 when either
-    value is at least 2**63, so such a key holds both values rounded to 53
-    bits.  That rounding is kept: every stream draws the bytes it always has."""
-    return np.asarray([seed, stream]).astype(np.uint64)
-
-
 class RngHandle:
     """Deterministic random stream identified by (seed, stream).
 
@@ -52,14 +42,14 @@ class RngHandle:
     def __init__(self, seed: int, stream: int = 0):
         self.seed = seed & _MASK64
         self.stream = stream & _MASK64
-        self._gen = np.random.Generator(np.random.Philox(key=_philox_key(self.seed, self.stream)))
+        # numpy takes the list through float64 when either value is at least
+        # 2**63, so such a key holds both values rounded to 53 bits; every
+        # stream draws the bytes it always has
+        self._gen = np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
 
-    def substream(self, *ids: int) -> "RngHandle":
-        """Child handle with a stream id mixed from this stream and ``ids``."""
-        s = self.stream
-        for i in ids:
-            s = _splitmix64(s ^ ((i + 1) & _MASK64))
-        return RngHandle(self.seed, s)
+    def substream(self, i: int) -> "RngHandle":
+        """Child handle with a stream id mixed from this stream and ``i``."""
+        return RngHandle(self.seed, _splitmix64(self.stream ^ ((i + 1) & _MASK64)))
 
     def normals(self, size=None, out: np.ndarray | None = None) -> np.ndarray:
         """Standard normals; written into ``out`` when it is given."""
@@ -82,19 +72,11 @@ class RngHandle:
         return f"RngHandle(seed={self.seed}, stream={self.stream})"
 
 
-def gaussian_complex(rng: RngHandle, stddev: float) -> complex:
-    """One complex Gaussian draw with E|z|^2 = stddev^2 (halved per part)."""
-    arr = standard_complex_normals(rng, 1, stddev)
-    return complex(arr[0])
-
-
-def standard_complex_normals(rng: RngHandle, size, stddev: float = 1.0) -> np.ndarray:
-    """Vectorized complex Gaussians; real/imag independent, variance stddev^2/2."""
-    if stddev <= 0:
-        raise ValueError("stddev must be positive")
+def standard_complex_normals(rng: RngHandle, size) -> np.ndarray:
+    """Vectorized complex Gaussians; real/imag independent, variance 1/2 each."""
     re = rng.normals(size)
     im = rng.normals(size)
-    return (re + 1j * im) * (stddev / np.sqrt(2.0))
+    return (re + 1j * im) * (1.0 / np.sqrt(2.0))
 
 
 @functools.lru_cache(maxsize=8)

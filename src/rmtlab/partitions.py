@@ -79,7 +79,7 @@ class CumulantFunction:
     """Exact joint-cumulant evaluator for matrix-entry monomials.
 
     ``evaluator`` maps (graph, vertex -> matrix index assignment, N) to an
-    exact value; ``description`` is a human-readable tag.
+    exact value.
 
     ``trace_moment_expectation`` needs the value to be invariant under
     relabelling the matrix indices: it may depend on the graph and on N,
@@ -88,7 +88,6 @@ class CumulantFunction:
     """
 
     evaluator: Callable[[CumulantGraph, tuple, int], object]
-    description: str = ""
 
     def on_pairs(self, pairs: Sequence[tuple], N: int):
         graph = graph_from_monomial(pairs)
@@ -112,7 +111,7 @@ def gaussian_cumulant_function(sigma_sq=Fraction(1)) -> CumulantFunction:
             return sigma_sq
         return Fraction(0)
 
-    return CumulantFunction(evaluate, "gaussian")
+    return CumulantFunction(evaluate)
 
 
 def moments_from_cumulants(c: Callable[[Sequence[tuple]], object], pairs: Sequence[tuple]):

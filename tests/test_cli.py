@@ -75,6 +75,24 @@ def test_unknown_field_rejected(tmp_path):
     assert "turbo" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["sample", "moments", "cumulant-scan"])
+@pytest.mark.parametrize("change, named", [
+    ({"histogram_bins": 50}, "histogram_bins"),
+    ({"histogram_range": [-3.0, 3.0]}, "histogram_range"),
+    ({"ensemble": {"kind": "gue", "entry_dist": "uniform"}}, 'kind "wigner"'),
+], ids=["histogram_bins", "histogram_range", "gue_uniform"])
+def test_unread_or_overridden_setting_exits_2_before_making_the_output_directory(
+        tmp_path, capsys, command, change, named):
+    # no command reads the histogram fields (rmt plot takes --bins and
+    # --range), and gue entries are Gaussian whatever entry_dist would say
+    doc = dict(GUE_DOC, n_grid=[4, 6, 8], samples_per_n=3,
+               graphs_to_scan=["v=2;e=0->1,1->0"], **change)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_empty_n_grid_rejected(tmp_path):
     for n_grid in ([], [8, 8]):  # empty, and a repeated size
         cfg = write_config(tmp_path, dict(GUE_DOC, n_grid=n_grid))

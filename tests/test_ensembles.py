@@ -164,10 +164,9 @@ def test_gue_draw_equals_gaussian_wigner_draw(sigma):
                     RngHandle(31, 0))
     gue = sample(EnsembleSpec("gue", sigma=sigma), 9, RngHandle(31, 0))
     assert np.array_equal(gue.data, wigner.data)
-    # GUE entries are Gaussian whatever entry_dist says
-    gue_uniform = sample(EnsembleSpec("gue", sigma=sigma, entry_dist="uniform"), 9,
-                         RngHandle(31, 0))
-    assert np.array_equal(gue_uniform.data, wigner.data)
+    # GUE entries are Gaussian: any other entry law is refused, not overridden
+    with pytest.raises(ParameterError, match='kind "wigner"'):
+        EnsembleSpec("gue", sigma=sigma, entry_dist="uniform")
 
 
 def test_damped_factor_value():
@@ -195,11 +194,10 @@ def parent_sample(spec: EnsembleSpec, n: int, rng: RngHandle) -> np.ndarray:
     then np.triu plus its conjugate transpose and the real diagonal."""
     from rmtlab.ensembles import _draw_entries
     g = reference_factor(spec, n, rng)
-    dist = "gaussian" if spec.kind == "gue" else spec.entry_dist
     m = n * (n - 1) // 2
-    x = _draw_entries(rng, dist, m)
-    y = _draw_entries(rng, dist, m)
-    diag = _draw_entries(rng, dist, n) * math.sqrt(spec.diag_variance)
+    x = _draw_entries(rng, spec.entry_dist, m)
+    y = _draw_entries(rng, spec.entry_dist, m)
+    diag = _draw_entries(rng, spec.entry_dist, n) * math.sqrt(spec.diag_variance)
     upper = np.zeros((n, n), dtype=complex)
     upper[np.triu_indices(n, k=1)] = (x + 1j * y) * (spec.sigma / math.sqrt(2.0))
     upper[np.diag_indices(n)] = diag
@@ -285,11 +283,10 @@ def restricted_reference(spec: EnsembleSpec, n: int, count: int, rng: RngHandle,
     read = list(zip(rows.flat, cols.flat))
     pairs = sorted({(min(i, j), max(i, j)) for i, j in read if i != j})
     diagonal = sorted({i for i, j in read if i == j})
-    dist = "gaussian" if spec.kind == "gue" else spec.entry_dist
     p = len(pairs)
     for _ in range(count):
         g = reference_factor(spec, n, rng)
-        draws = _draw_entries(rng, dist, 2 * p + len(diagonal))
+        draws = _draw_entries(rng, spec.entry_dist, 2 * p + len(diagonal))
         value = {}
         for k, (i, j) in enumerate(pairs):
             x = draws[k] * (spec.sigma / math.sqrt(2.0))
@@ -604,19 +601,29 @@ def test_oracle_is_exact_on_every_class_through_four_edges(spec):
         assert entry_cumulant_oracle(spec, graph, indices, n=16) == complex(value)
 
 
-def test_oracle_common_factor_symbolic_brute_force():
-    """Brute-force symbolic oracle for the disjoint-two-2-cycles cumulant.
+S2, EG2, EG4, EG6 = sp.symbols("s2 eg2 eg4 eg6")
+# (2-cycles on disjoint vertex pairs, closed form of their joint cumulant)
+DISJOINT_TWO_CYCLES = {
+    "two": (2, S2 ** 2 * (EG4 - EG2 ** 2)),
+    "three": (3, S2 ** 3 * (EG6 - 3 * EG4 * EG2 + 2 * EG2 ** 3)),
+}
+
+
+@pytest.mark.parametrize("cycles, closed_form", DISJOINT_TWO_CYCLES.values(),
+                         ids=DISJOINT_TWO_CYCLES)
+def test_oracle_common_factor_symbolic_brute_force(cycles, closed_form):
+    """Brute-force symbolic oracle for the disjoint-2-cycles cumulant.
 
     Moments of M = g W factor as E[g^k] times Wick sums over pairings of W;
-    Moebius inversion over the 15 partitions of the four entries must give
-    sigma^4 (E[g^4] - E[g^2]^2).
+    Moebius inversion over the partitions of the 2c entries must give the
+    closed form: sigma^4 (E[g^4] - E[g^2]^2) for two 2-cycles, and
+    sigma^6 (E[g^6] - 3 E[g^4] E[g^2] + 2 E[g^2]^3) for three.
     """
-    s2, eg2, eg4 = sp.symbols("s2 eg2 eg4")
-    pairs = [("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")]
+    pairs = [p for c in range(cycles) for p in ((2 * c, 2 * c + 1), (2 * c + 1, 2 * c))]
 
     def w_pair(p, q):
         (i, j), (k, l) = p, q
-        return s2 if (i == l and j == k) else sp.Integer(0)
+        return S2 if (i == l and j == k) else sp.Integer(0)
 
     def w_moment(subset):
         items = list(subset)
@@ -640,22 +647,31 @@ def test_oracle_common_factor_symbolic_brute_force():
             total += term
         return total
 
-    g_mom = {0: sp.Integer(1), 1: sp.Symbol("eg1"), 2: eg2, 3: sp.Symbol("eg3"), 4: eg4}
+    g_mom = {0: sp.Integer(1), 2: EG2, 4: EG4, 6: EG6}
+    g_mom.update({k: sp.Symbol(f"eg{k}") for k in (1, 3, 5)})
 
     def m_moment(subset):
         return g_mom[len(subset)] * w_moment(subset)
 
     from rmtlab.partitions import set_partitions
     kappa = sp.Integer(0)
-    for part in set_partitions(4):
+    for part in set_partitions(len(pairs)):
         term = sp.Integer(part.moebius_weight())
         for block in part.blocks:
             term *= m_moment([pairs[i] for i in block])
         kappa += term
-    assert sp.simplify(kappa - s2**2 * (eg4 - eg2**2)) == 0
-    # numeric corner: E[g^2] = 1, E[g^4] = 5/4 reproduces the oracle value
-    val = kappa.subs({eg2: 1, eg4: sp.Rational(5, 4), s2: 1})
-    assert val == sp.Rational(1, 4)
+    assert sp.simplify(kappa - closed_form) == 0
+    # numeric corners, read through the oracle: the default law {1/2, 3/2}
+    # and an asymmetric law {1/2, 2} with weights {2/3, 1/3}
+    graph = CumulantGraph(2 * cycles, tuple(pairs))
+    indices = {v: v for v in range(2 * cycles)}
+    for law in (FactorDistribution(),
+                FactorDistribution((Fraction(1, 2), Fraction(2)), (Fraction(2, 3), Fraction(1, 3)))):
+        def eg(k):  # E[g^(2k)]
+            return sum(w * s ** k for w, s in zip(law.weights, law.squares))
+        want = kappa.subs({S2: 1, EG2: eg(1), EG4: eg(2), EG6: eg(3)})
+        spec = EnsembleSpec("common_factor", factor_dist=law)
+        assert entry_cumulant_oracle(spec, graph, indices) == float(want)
 
 
 def test_oracle_damped_matches_analytic_scaling():
@@ -744,8 +760,11 @@ def test_exact_inverse_power_cut_lies_at_the_square_of_the_smallest_float():
 def test_oracle_unavailable_cases():
     spec = EnsembleSpec("quartic_invariant", quartic_g=0.1)
     assert entry_cumulant_oracle(spec, TWO_CYCLE, IDX2) is None
+    # the oracle takes every graph the cumulant inversion takes, up to 6 edges
     five = CumulantGraph(2, ((0, 1), (1, 0)) * 2 + ((0, 1),))
-    assert entry_cumulant_oracle(EnsembleSpec("gue"), five, IDX2) is None
+    assert entry_cumulant_oracle(EnsembleSpec("gue"), five, IDX2) == 0
+    seven = CumulantGraph(2, ((0, 1), (1, 0)) * 3 + ((0, 1),))
+    assert entry_cumulant_oracle(EnsembleSpec("gue"), seven, IDX2) is None
 
 
 def test_oracle_requires_injective_indices():

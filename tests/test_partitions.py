@@ -215,7 +215,7 @@ def test_cumulant_moment_roundtrip_on_random_rational_cumulants():
             table[key] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
         return table[key]
 
-    c = CumulantFunction(cum_eval, "random")
+    c = CumulantFunction(cum_eval)
     for size in (1, 2, 3, 4):
         for _ in range(8):
             pairs = tuple(rng.choice(pair_pool) for _ in range(size))
@@ -285,7 +285,7 @@ def relabelling_invariant_cumulants(graph, assignment, n):
 
 @pytest.mark.parametrize("c", [
     gaussian_cumulant_function(Fraction(3, 2)),
-    CumulantFunction(relabelling_invariant_cumulants, "relabelling invariant"),
+    CumulantFunction(relabelling_invariant_cumulants),
 ], ids=["gaussian", "non_gaussian"])
 def test_trace_moment_pattern_sum_matches_tuple_sum(c):
     for n in range(1, 5):
