@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import fcntl
 import io
 import json
@@ -344,9 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> ExperimentConfig:
     config = ExperimentConfig.from_file(args.config)
     if args.seed is not None:
-        doc = config.to_json()
-        doc["seed"] = args.seed
-        config = ExperimentConfig.from_json(doc)
+        config = dataclasses.replace(config, seed=args.seed)
     return config
 
 

@@ -1,16 +1,20 @@
 """Experiment configuration: a versioned JSON document, fail-closed.
 
-Unknown fields are rejected so a config file always means the same
-experiment; reruns with the same config and seed must be byte-identical.
+The frozen dataclasses are the schema: ``from_json`` reads one by its fields
+and their types, refusing anything else, and ``to_json`` writes it back, so a
+config file always means the same experiment.  Reruns with the same config
+and seed must be byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import types
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .ensembles import EnsembleSpec, ParameterError
 from .graphs import CumulantGraph, GraphParseError
@@ -24,22 +28,87 @@ SCHEMA_VERSION = 1
 # of all substreams, so two larger seeds could draw the same matrices.
 MAX_SEED = 2 ** 53
 
-_KNOWN_FIELDS = {
-    "schema_version", "ensemble", "n_grid", "samples_per_n", "seed",
-    "moment_orders", "graphs_to_scan",
-}
-
 
 class ConfigError(ValueError):
     pass
+
+
+# The JSON types each scalar field type takes, and how a refusal names them.
+# A JSON true or false is refused everywhere, though Python counts it an int.
+_SCALARS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    Fraction: ((str, int), "a string or an integer"),
+}
+
+
+def from_json(cls, doc, where: str = ""):
+    """Build the dataclass ``cls`` from the JSON object ``doc``, by its fields.
+
+    Every key must name a field and every field without a default must be
+    present.  An ``int`` field takes a JSON integer, a ``float`` field an
+    integer or number (stored as float), a ``str`` field a string, a
+    ``Fraction`` field a string or an integer, ``tuple[X, ...]`` a list of X,
+    ``X | None`` also null, and a nested dataclass an object.  Anything else
+    raises ConfigError naming the field's path, prefixed by ``where``; the
+    dataclass's own checks then run as usual.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where or 'config'}: expected an object, got {json.dumps(doc)}")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown field(s){' in ' + where if where else ''}: {unknown}")
+    types_of = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        path = f"{where}.{f.name}" if where else f.name
+        if f.name in doc:
+            kwargs[f.name] = _read(types_of[f.name], doc[f.name], path)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}: required")
+    return cls(**kwargs)
+
+
+def _read(tp, value, path: str):
+    if get_origin(tp) in (Union, types.UnionType):
+        if value is None and type(None) in get_args(tp):
+            return None
+        (tp,) = [arg for arg in get_args(tp) if arg is not type(None)]
+    if is_dataclass(tp):
+        return from_json(tp, value, path)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {json.dumps(value)}")
+        return tuple(_read(get_args(tp)[0], item, f"{path}[{i}]")
+                     for i, item in enumerate(value))
+    accepted, expected = _SCALARS[tp]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{path}: expected {expected}, got {json.dumps(value)}")
+    try:
+        return tp(value)
+    except (ValueError, ArithmeticError) as exc:  # no rational, or too large a float
+        raise ConfigError(f"{path}: cannot read {json.dumps(value)}: {exc}") from exc
+
+
+def to_json(value):
+    """The JSON form of a dataclass that ``from_json`` reads back: fields in
+    declaration order, tuples as lists, fractions as their ``str``."""
+    if is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [to_json(item) for item in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    return value
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     ensemble: EnsembleSpec
     n_grid: tuple[int, ...]
-    samples_per_n: int
-    seed: int
+    samples_per_n: int = 1
+    seed: int = 0
     moment_orders: tuple[int, ...] = (2, 4)
     graphs_to_scan: tuple[str, ...] = ()
 
@@ -68,15 +137,7 @@ class ExperimentConfig:
         return [CumulantGraph.from_text(t) for t in self.graphs_to_scan]
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "ensemble": self.ensemble.to_json(),
-            "n_grid": list(self.n_grid),
-            "samples_per_n": self.samples_per_n,
-            "seed": self.seed,
-            "moment_orders": list(self.moment_orders),
-            "graphs_to_scan": list(self.graphs_to_scan),
-        }
+        return {"schema_version": SCHEMA_VERSION, **to_json(self)}
 
     def canonical_dump(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
@@ -85,27 +146,16 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_dump().encode()).hexdigest()
 
     @classmethod
-    def from_json(cls, doc: Mapping) -> "ExperimentConfig":
-        unknown = set(doc) - _KNOWN_FIELDS
-        if unknown:
-            raise ConfigError(f"unknown field(s): {sorted(unknown)}")
-        version = doc.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
-        if "ensemble" not in doc:
-            raise ConfigError("ensemble: required")
+    def from_json(cls, doc) -> "ExperimentConfig":
+        if isinstance(doc, dict):
+            version = doc.get("schema_version")
+            if version != SCHEMA_VERSION:
+                raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+            doc = {key: value for key, value in doc.items() if key != "schema_version"}
         try:
-            ensemble = EnsembleSpec.from_json(doc["ensemble"])
+            return from_json(cls, doc)
         except ParameterError as exc:
             raise ConfigError(f"ensemble: {exc}") from exc
-        return cls(
-            ensemble=ensemble,
-            n_grid=tuple(int(n) for n in doc.get("n_grid", ())),
-            samples_per_n=int(doc.get("samples_per_n", 1)),
-            seed=int(doc.get("seed", 0)),
-            moment_orders=tuple(int(k) for k in doc.get("moment_orders", (2, 4))),
-            graphs_to_scan=tuple(doc.get("graphs_to_scan", ())),
-        )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":

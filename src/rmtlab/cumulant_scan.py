@@ -108,6 +108,6 @@ def scan_graph(spec: EnsembleSpec, graph: CumulantGraph, n_grid: Sequence[int],
     for idx, n in enumerate(n_grid):
         estimates.append(estimate_entry_cumulant(spec, graph, n, samples_per_n,
                                                  rng.substream(idx)))
-    cls = classify_bound(graph, [(e.n, e.estimate) for e in estimates],
-                         [e.stderr for e in estimates])
-    return ScanResult(graph, tuple(estimates), cls.verdict)
+    verdict = classify_bound(graph, [(e.n, e.estimate) for e in estimates],
+                             [e.stderr for e in estimates])
+    return ScanResult(graph, tuple(estimates), verdict)

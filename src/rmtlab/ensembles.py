@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -69,16 +68,6 @@ class FactorDistribution:
         rather than once per drawn factor."""
         return tuple(self.values().tolist()), tuple(float(w) for w in self.weights)
 
-    def to_json(self) -> dict:
-        return {"squares": [str(s) for s in self.squares],
-                "weights": [str(w) for w in self.weights]}
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "FactorDistribution":
-        _reject_unknown(doc, {"squares", "weights"}, "factor_dist")
-        return cls(tuple(Fraction(s) for s in doc["squares"]),
-                   tuple(Fraction(w) for w in doc["weights"]))
-
 
 @dataclass(frozen=True)
 class MetropolisParams:
@@ -91,19 +80,6 @@ class MetropolisParams:
             raise ParameterError("invalid metropolis parameters")
         if not 0 < self.step_size < math.inf:
             raise ParameterError("metropolis step_size must be positive and finite")
-
-    def to_json(self) -> dict:
-        return {"steps": self.steps, "step_size": self.step_size, "burn_in": self.burn_in}
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "MetropolisParams":
-        _reject_unknown(doc, {"steps", "step_size", "burn_in"}, "metropolis")
-        return cls(int(doc.get("steps", 2)), float(doc.get("step_size", 1.0)),
-                   int(doc.get("burn_in", 150)))
-
-
-_ENSEMBLE_FIELDS = {"kind", "sigma", "entry_dist", "factor_dist", "damping_alpha",
-                    "quartic_g", "metropolis", "diagonal_variance"}
 
 
 @dataclass(frozen=True)
@@ -139,49 +115,6 @@ class EnsembleSpec:
         if self.diagonal_variance is None:
             return self.sigma * self.sigma
         return self.diagonal_variance
-
-    def to_json(self) -> dict:
-        doc = {"kind": self.kind, "sigma": self.sigma, "entry_dist": self.entry_dist,
-               "factor_dist": self.factor_dist.to_json(),
-               "damping_alpha": self.damping_alpha, "quartic_g": self.quartic_g,
-               "metropolis": self.metropolis.to_json(),
-               "diagonal_variance": self.diagonal_variance}
-        return doc
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "EnsembleSpec":
-        _reject_unknown(doc, _ENSEMBLE_FIELDS, "ensemble")
-        if "kind" not in doc:
-            raise ParameterError("ensemble.kind is required")
-        kwargs = {"kind": doc["kind"]}
-        if "sigma" in doc:
-            kwargs["sigma"] = float(doc["sigma"])
-        if "entry_dist" in doc:
-            kwargs["entry_dist"] = doc["entry_dist"]
-        if "factor_dist" in doc:
-            kwargs["factor_dist"] = FactorDistribution.from_json(doc["factor_dist"])
-        if "damping_alpha" in doc:
-            kwargs["damping_alpha"] = float(doc["damping_alpha"])
-        if "quartic_g" in doc:
-            kwargs["quartic_g"] = float(doc["quartic_g"])
-        if "metropolis" in doc:
-            kwargs["metropolis"] = MetropolisParams.from_json(doc["metropolis"])
-        if doc.get("diagonal_variance") is not None:
-            kwargs["diagonal_variance"] = float(doc["diagonal_variance"])
-        return cls(**kwargs)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "EnsembleSpec":
-        return cls.from_json(json.loads(text))
-
-
-def _reject_unknown(doc: Mapping, known: set, where: str):
-    unknown = set(doc) - known
-    if unknown:
-        raise ParameterError(f"unknown field(s) in {where}: {sorted(unknown)}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial
@@ -280,14 +280,6 @@ class BoundVerdict(Enum):
     VIOLATING = "violating"
 
 
-@dataclass(frozen=True)
-class BoundClassification:
-    graph: CumulantGraph
-    verdict: BoundVerdict
-    exponent: Fraction
-    scaled: tuple[float, ...] = field(default=())
-
-
 # Trend-detection heuristics; exposed so experiments can tighten or loosen
 # them for their own N grids and sample counts.  VANISH_EXPONENT = 1/2 is
 # the grade that check_bounds_flow demands of Eulerian perturbations.
@@ -302,7 +294,7 @@ def classify_bound(
     g: CumulantGraph,
     scaled_values: Sequence[tuple[int, float]],
     stderrs: Sequence[float] | None = None,
-) -> BoundClassification:
+) -> BoundVerdict:
     """Classify finite-N cumulant data against the scaling bounds.
 
     ``scaled_values`` holds (N, cumulant estimate) pairs, ascending in N;
@@ -325,8 +317,6 @@ def classify_bound(
             scaled_err = [abs(e) * float(n) ** float(expo)
                           for (n, _), e in zip(scaled_values, stderrs)]
             vanishing = all(v <= NOISE_SIGMAS * e for v, e in zip(scaled, scaled_err))
-        verdict = BoundVerdict.CONSISTENT_VANISHING if vanishing else BoundVerdict.VIOLATING
-    else:
-        bounded = last <= GROWTH_FACTOR * first or last == 0.0
-        verdict = BoundVerdict.CONSISTENT_BOUNDED if bounded else BoundVerdict.VIOLATING
-    return BoundClassification(g, verdict, expo, tuple(scaled))
+        return BoundVerdict.CONSISTENT_VANISHING if vanishing else BoundVerdict.VIOLATING
+    bounded = last <= GROWTH_FACTOR * first or last == 0.0
+    return BoundVerdict.CONSISTENT_BOUNDED if bounded else BoundVerdict.VIOLATING

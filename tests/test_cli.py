@@ -93,6 +93,38 @@ def test_unread_or_overridden_setting_exits_2_before_making_the_output_directory
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "moments", "cumulant-scan"])
+@pytest.mark.parametrize("change, named", [
+    # factor_dist weights default to (1/2, 1/2), which three squares do not match
+    ({"ensemble": {"kind": "common_factor", "factor_dist": {"squares": ["1/4", "1/2", "9/4"]}}},
+     "factor_dist"),
+    ({"ensemble": {"kind": "common_factor", "factor_dist": {"squares": [0.5, 1.5],
+                                                            "weights": ["1/2", "1/2"]}}},
+     "ensemble.factor_dist.squares[0]"),
+    ({"ensemble": {"kind": "quartic_invariant", "metropolis": 5}}, "ensemble.metropolis"),
+    ({"ensemble": {"kind": "gue", "sigma": True}}, "ensemble.sigma"),
+    ({"n_grid": 5}, "n_grid"),
+    ({"n_grid": [8.9, "16"]}, "n_grid[0]"),
+    ({"samples_per_n": 3.5}, "samples_per_n"),
+    ({"samples_per_n": True}, "samples_per_n"),
+    ({"seed": None}, "seed"),
+    ({"seed": "7"}, "seed"),
+    ({"moment_orders": None}, "moment_orders"),
+    ({"graphs_to_scan": "v=2;e=0->1,1->0"}, "graphs_to_scan"),
+], ids=["factor_dist_without_weights", "factor_dist_float", "metropolis_number",
+        "sigma_true", "n_grid_number", "n_grid_float_and_string", "samples_per_n_float",
+        "samples_per_n_true", "seed_null", "seed_string", "moment_orders_null",
+        "graphs_to_scan_string"])
+def test_value_of_the_wrong_json_type_exits_2_before_making_the_output_directory(
+        tmp_path, capsys, command, change, named):
+    doc = {**GUE_DOC, "n_grid": [4, 6, 8], "samples_per_n": 3,
+           "graphs_to_scan": ["v=2;e=0->1,1->0"], **change}
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_empty_n_grid_rejected(tmp_path):
     for n_grid in ([], [8, 8]):  # empty, and a repeated size
         cfg = write_config(tmp_path, dict(GUE_DOC, n_grid=n_grid))

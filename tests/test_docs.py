@@ -1,29 +1,48 @@
-"""The config block of docs/formats.md names exactly the fields the readers take."""
+"""The config blocks of docs/formats.md and README.md read as configs, and the
+formats.md block names exactly the fields the reader takes."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
 
-from rmtlab import config, ensembles
-from rmtlab.config import ExperimentConfig
+from rmtlab.config import ExperimentConfig, to_json
+from rmtlab.ensembles import EnsembleSpec, FactorDistribution, MetropolisParams
 
-FORMATS = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def config_block() -> dict:
-    text = FORMATS.read_text()
-    section = text[text.index("## Experiment config"):]
+def config_block(path: Path, heading: str) -> dict:
+    text = path.read_text()
+    section = text[text.index(heading):]
     return json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
 
 
+def formats_block() -> dict:
+    return config_block(ROOT / "docs" / "formats.md", "## Experiment config")
+
+
+def field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
 def test_formats_config_block_names_every_accepted_field_and_no_other():
-    doc = config_block()
-    assert set(doc) == config._KNOWN_FIELDS
-    assert set(doc["ensemble"]) == ensembles._ENSEMBLE_FIELDS
+    doc = formats_block()
+    assert set(doc) == {"schema_version"} | field_names(ExperimentConfig)
+    ensemble = doc["ensemble"]
+    assert set(ensemble) == field_names(EnsembleSpec)
+    assert set(ensemble["factor_dist"]) == field_names(FactorDistribution)
+    assert set(ensemble["metropolis"]) == field_names(MetropolisParams)
 
 
-def test_formats_config_block_is_a_valid_config_once_its_choices_are_made():
-    # "kind" and "entry_dist" list their choices; every other value is one
-    doc = config_block()
+def test_formats_config_block_writes_back_to_itself_once_its_choices_are_made():
+    # "kind" and "entry_dist" list their choices; every other value is one,
+    # and the ensemble's are its defaults
+    doc = formats_block()
     doc["ensemble"].update(kind="wigner", entry_dist="gaussian")
-    ExperimentConfig.from_json(doc)
+    assert ExperimentConfig.from_json(doc).to_json() == doc
+    assert doc["ensemble"] == to_json(EnsembleSpec("wigner"))
+
+
+def test_readme_config_block_is_a_valid_config():
+    ExperimentConfig.from_json(config_block(ROOT / "README.md", "## CLI"))

@@ -9,6 +9,7 @@ import pytest
 import sympy as sp
 
 from rmtlab import ensembles
+from rmtlab.config import ConfigError, from_json, to_json
 from rmtlab.ensembles import (ENTRY_BLOCK, EnsembleSpec, FactorDistribution, MetropolisParams,
                               ParameterError, QuarticChain, entry_cumulant_oracle, entry_stream,
                               sample, sample_stream)
@@ -46,9 +47,9 @@ def test_spec_rejects_non_finite_parameters(field, bad):
     if field != "step_size":
         doc[field] = bad
     with pytest.raises(ParameterError, match="finite"):
-        EnsembleSpec.from_json(doc)
+        from_json(EnsembleSpec, doc)
     with pytest.raises(ParameterError, match="finite"):
-        EnsembleSpec.loads(json.dumps(doc))
+        from_json(EnsembleSpec, json.loads(json.dumps(doc)))
 
 def test_factor_dist_must_have_unit_second_moment():
     with pytest.raises(ParameterError):
@@ -66,15 +67,15 @@ def test_spec_json_roundtrip():
     spec = EnsembleSpec("common_factor", sigma=0.5, entry_dist="uniform",
                         factor_dist=FactorDistribution((Fraction(1, 4), Fraction(7, 4)),
                                                        (Fraction(1, 2), Fraction(1, 2))))
-    again = EnsembleSpec.loads(spec.dumps())
+    again = from_json(EnsembleSpec, json.loads(json.dumps(to_json(spec))))
     assert again == spec
 
 
 def test_spec_json_rejects_unknown_fields():
-    with pytest.raises(ParameterError):
-        EnsembleSpec.from_json({"kind": "gue", "flavour": "strawberry"})
-    with pytest.raises(ParameterError):
-        EnsembleSpec.from_json({"kind": "gue", "metropolis": {"steps": 1, "pace": 2}})
+    with pytest.raises(ConfigError):
+        from_json(EnsembleSpec, {"kind": "gue", "flavour": "strawberry"})
+    with pytest.raises(ConfigError):
+        from_json(EnsembleSpec, {"kind": "gue", "metropolis": {"steps": 1, "pace": 2}})
 
 
 # --- sampling ----------------------------------------------------------------
