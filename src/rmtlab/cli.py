@@ -307,6 +307,15 @@ def cmd_verify(suite: str, stream=None) -> int:
     return EXIT_NUMERICAL if failed else EXIT_OK
 
 
+def _fraction(text: str) -> Fraction:
+    """argparse type for an exact rational; argparse itself turns only
+    ValueError and TypeError into a usage error, not ZeroDivisionError."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"invalid fraction {text!r}: {exc}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rmt",
                                      description="random-matrix laboratory")
@@ -323,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     flow = sub.add_parser("rg-flow", help="exact flow and resolvent series")
     flow.add_argument("--order", type=int, required=True)
-    flow.add_argument("--sigma", type=Fraction, default=Fraction(1))
+    flow.add_argument("--sigma", type=_fraction, default=Fraction(1))
     flow.add_argument("--pert-graph", default=None, help="graph text form")
-    flow.add_argument("--pert-coeff", type=Fraction, default=None)
+    flow.add_argument("--pert-coeff", type=_fraction, default=None)
     flow.add_argument("--pert-nhalf", type=int, default=None,
                       help="N grade of the perturbation, in units of N^(1/2) (default 0)")
     flow.add_argument("--out", default=None)

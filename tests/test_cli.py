@@ -306,6 +306,19 @@ def test_rg_flow_has_no_edge_cap_option(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, extra", [
+    ("--sigma", []),
+    ("--pert-coeff", ["--pert-graph", "v=2;e=0->1,0->1"]),
+])
+def test_rg_flow_zero_denominator_is_a_usage_error(tmp_path, flag, extra):
+    out = tmp_path / "out"
+    result = run_cli(["rg-flow", "--order", "3", *extra, flag, "1/0", "--out", str(out)])
+    assert result.returncode == 2
+    assert f"argument {flag}: invalid fraction '1/0'" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
 def test_rg_flow_four_edge_perturbation_drops_nothing(tmp_path):
     # the tadpole's cone builds graphs of up to 7 edges for this spec
     out = tmp_path / "flow"

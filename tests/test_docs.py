@@ -1,11 +1,14 @@
-"""The config blocks of docs/formats.md and README.md read as configs, and the
-formats.md block names exactly the fields the reader takes."""
+"""The config blocks of docs/formats.md and README.md read as configs, the
+formats.md block names exactly the fields the reader takes, and README lists
+exactly the names the package root exports."""
 
 import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
 
+import rmtlab
 from rmtlab.config import ExperimentConfig, to_json
 from rmtlab.ensembles import EnsembleSpec, FactorDistribution, MetropolisParams
 
@@ -46,3 +49,13 @@ def test_formats_config_block_writes_back_to_itself_once_its_choices_are_made():
 
 def test_readme_config_block_is_a_valid_config():
     ExperimentConfig.from_json(config_block(ROOT / "README.md", "## CLI"))
+
+
+def test_readme_lists_exactly_the_package_roots_names():
+    text = (ROOT / "README.md").read_text()
+    section = re.search(r"The package root exports(.*?)Monte\s+Carlo", text, re.S).group(1)
+    listed = set(re.findall(r"`(\w+)`", section))
+    exported = {name for name, value in vars(rmtlab).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    modules = {"graphs", "partitions", "ring", "replica_rg", "semicircle"}
+    assert listed - modules == exported
