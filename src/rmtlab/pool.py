@@ -1,8 +1,9 @@
 """Ordered maps on a small thread pool.
 
-numpy releases the GIL while LAPACK solves a large matrix, so threads can
-overlap that work (``spectra``'s eigensolves).  Each task reads only its own
-inputs (its own matrix), and results come back in input order, so no output
+numpy releases the GIL while LAPACK or BLAS works on a large matrix, so
+threads can overlap that work (``spectra``'s eigensolves and
+``sampled_moments``' matrix products).  Each task reads only its own inputs
+(its own matrix), and results come back in input order, so no output
 depends on the number of workers or on how the threads interleave.
 """
 
@@ -17,8 +18,11 @@ R = TypeVar("R")
 
 
 def usable_cores() -> int:
-    """The cores this process may run on."""
-    return len(os.sched_getaffinity(0))
+    """The cores this process may run on: its affinity set where the platform
+    has one (Linux), else every core the machine reports (macOS, Windows)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int,

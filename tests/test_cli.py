@@ -7,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rmtlab import cli, ensembles
@@ -163,6 +164,18 @@ def test_moments_csv(tmp_path):
     row3 = dict(zip(("N", "k", "mean", "stderr", "gap"), lines[2].split(",")))
     assert row3["k"] == "3"
     assert abs(float(row3["mean"])) == float(row3["gap"])
+
+
+def test_moments_make_no_eigensolve(tmp_path, monkeypatch):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("rmt moments ran an eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    doc = dict(GUE_DOC, n_grid=[8, 600], samples_per_n=2, moment_orders=[2, 3, 4, 6])
+    out = tmp_path / "out"
+    assert main(["moments", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(out)]) == 0
+    assert len((out / "moments.csv").read_text().splitlines()) == 1 + 2 * 4
 
 
 def test_cumulant_scan_csv(tmp_path):

@@ -18,6 +18,15 @@ def test_usable_cores_counts_the_affinity_set(monkeypatch):
     assert usable_cores() == 3
 
 
+@pytest.mark.parametrize("cpu_count, cores", [(6, 6), (None, 1)])
+def test_usable_cores_without_an_affinity_call_counts_the_machine(monkeypatch, cpu_count,
+                                                                 cores):
+    # macOS and Windows have no os.sched_getaffinity
+    monkeypatch.delattr(pool.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(pool.os, "cpu_count", lambda: cpu_count)
+    assert usable_cores() == cores
+
+
 def test_one_worker_runs_inline_and_lazily():
     seen = []
 

@@ -11,7 +11,8 @@ from rmtlab.ensembles import EnsembleSpec, MetropolisParams, ParameterError, sam
 from rmtlab.linalg import HermitianMatrix, RngHandle, eigenvalues_hermitian
 from rmtlab.semicircle import SemicircleParams, cdf
 from rmtlab.spectral import (convergence_scan, esd_moment, histogram,
-                             ks_distance_to_semicircle, scale_spectrum, spectra)
+                             ks_distance_to_semicircle, sampled_moments, scale_spectrum,
+                             spectra)
 
 
 # --- scaling -------------------------------------------------------------------
@@ -72,7 +73,7 @@ def test_spectra_rows_equal_per_matrix_pipeline(spec):
 def traced_pipeline(monkeypatch, workers):
     """Force ``workers`` eigensolve threads; record the thread of each
     eigensolve and, as each matrix is sampled, how many are in flight."""
-    monkeypatch.setattr(spectral, "_eigensolve_workers", lambda n: workers)
+    monkeypatch.setattr(spectral, "_blas_workers", lambda n: workers)
     record = {"threads": [], "in_flight": [], "collected": 0}
 
     def solve(matrix):
@@ -133,7 +134,7 @@ def test_spectra_start_no_more_threads_than_matrices(monkeypatch, count):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("fault", ["non_finite_matrix", "sampler_error"])
 def test_spectra_faults_raise_and_leave_no_thread(monkeypatch, workers, fault):
-    monkeypatch.setattr(spectral, "_eigensolve_workers", lambda n: workers)
+    monkeypatch.setattr(spectral, "_blas_workers", lambda n: workers)
     n = 8
 
     def stream(*args):
@@ -178,10 +179,10 @@ def test_eigensolve_workers_divide_the_cores_by_the_blas_threads(monkeypatch, en
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    assert spectral._eigensolve_workers(512) == workers
+    assert spectral._blas_workers(512) == workers
     # numpy holds the GIL through a smaller eigensolve, so threads cannot help there
-    assert spectral._eigensolve_workers(500) == 1
-    assert spectral._eigensolve_workers(501) == workers
+    assert spectral._blas_workers(500) == 1
+    assert spectral._blas_workers(501) == workers
 
 
 # --- moments --------------------------------------------------------------------
@@ -324,6 +325,67 @@ def test_readers_reject_empty_or_non_finite(values):
         ks_distance_to_semicircle(values, 1.0)
 
 
+# --- moments from matrix products ---------------------------------------------------
+
+ALL_ORDERS = list(range(spectral.MAX_MOMENT_ORDER + 1))
+
+
+# 1 and 2 are the smallest matrices; 63..65 and 131 cross the edges of the
+# 64-row blocks the products are formed in
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 131])
+@pytest.mark.parametrize("spec", PIPELINE_SPECS, ids=lambda spec: spec.kind)
+def test_sampled_moments_equal_the_moments_of_the_spectra(spec, n):
+    count = 3
+    warned: dict[str, list[str]] = {}
+    got = sampled_moments(spec, n, count, RngHandle(29, 0), ALL_ORDERS, warned)
+    warnings: dict[str, list[str]] = {}
+    eigs = spectra(spec, n, count, RngHandle(29, 0), warnings)
+    assert got.shape == (count, len(ALL_ORDERS))
+    for j, k in enumerate(ALL_ORDERS):
+        # relative to E|lambda|^k, which is E lambda^k for even k
+        assert np.all(np.abs(got[:, j] - esd_moment(eigs, k))
+                      <= 1e-12 * np.mean(np.abs(eigs) ** k, axis=-1))
+    assert warned == warnings
+
+
+def test_sampled_moments_read_only_the_orders_asked_for():
+    spec, n = EnsembleSpec("gue"), 70
+    every = sampled_moments(spec, n, 2, RngHandle(31, 0), ALL_ORDERS)
+    for orders in ([6], [5], [12], [9, 2], [0], [4, 4, 1], []):
+        got = sampled_moments(spec, n, 2, RngHandle(31, 0), orders)
+        assert got.shape == (2, len(orders))
+        np.testing.assert_allclose(got, every[:, orders], rtol=1e-13, atol=1e-13)
+    with pytest.raises(ValueError, match="moment orders"):
+        sampled_moments(spec, n, 2, RngHandle(31, 0), [13])
+
+
+def test_sampled_moments_bytes_do_not_depend_on_the_workers(monkeypatch):
+    spec, n, orders = EnsembleSpec("wigner", entry_dist="rademacher"), 65, [2, 3, 4, 6, 11]
+    threads = threading.active_count()
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(spectral, "_blas_workers", lambda n: workers)
+        results.append(sampled_moments(spec, n, 7, RngHandle(37, 0), orders).tobytes())
+    assert results[1:] == results[:1] * 2
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sampled_moments_refuse_a_non_finite_matrix_and_leave_no_thread(monkeypatch, workers):
+    monkeypatch.setattr(spectral, "_blas_workers", lambda n: workers)
+    n = 8
+
+    def stream(*args):
+        for s, matrix in enumerate(sample_stream(*args)):
+            yield HermitianMatrix(n, np.full((n, n), np.inf + 0j)) if s == 3 else matrix
+
+    monkeypatch.setattr(spectral, "sample_stream", stream)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        sampled_moments(EnsembleSpec("gue"), n, 6, RngHandle(4, 0), [2, 4])
+    assert threading.active_count() == threads
+
+
 # --- convergence scan ----------------------------------------------------------------
 
 def test_scan_odd_moment_within_noise():
@@ -366,7 +428,7 @@ def test_scan_validates_moment_orders_before_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before checking the moment orders")
 
-    monkeypatch.setattr(spectral, "spectra", no_sampling)
+    monkeypatch.setattr(spectral, "sample_stream", no_sampling)
     for k_list in ((13,), (2, -1)):
         with pytest.raises(ValueError, match="moment orders"):
             convergence_scan(EnsembleSpec("gue"), (8,), k_list, 4, RngHandle(17, 0))

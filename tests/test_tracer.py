@@ -25,7 +25,9 @@ def test_tracer_installs_and_counts_the_spectral_layer():
     originals = (spectral.scale_spectrum, spectral.esd_moment, spectral.spectra)
     tracer.install()
     try:
-        spectral.convergence_scan(EnsembleSpec("gue"), (8,), (2, 4), 3, RngHandle(5, 0))
+        eigs = spectral.spectra(EnsembleSpec("gue"), 8, 3, RngHandle(5, 0))
+        for k in (2, 4):
+            spectral.esd_moment(eigs, k)
     finally:
         tracer.uninstall()
     assert (spectral.scale_spectrum, spectral.esd_moment, spectral.spectra) == originals
@@ -33,6 +35,19 @@ def test_tracer_installs_and_counts_the_spectral_layer():
     # one scaling per sampled matrix, one moment call per order
     assert counts["spectral.scale_spectrum"] == 3
     assert counts["spectral.esd_moment"] == 2
+
+
+def test_tracer_sees_the_moment_scan_make_no_eigensolve():
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        spectral.convergence_scan(EnsembleSpec("gue"), (8, 600), (2, 4), 2, RngHandle(5, 0))
+    finally:
+        tracer.uninstall()
+    spans = tracer.summary()["spans"]
+    # its moments come from matrix products
+    assert spans["spectral.convergence_scan"][0] == 1
+    assert "linalg.eigenvalues_hermitian" not in spans
 
 
 def test_tracer_counts_quartic_sweeps_and_acceptance():
